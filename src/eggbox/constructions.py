@@ -17,8 +17,8 @@ from .core import (
     adjoin_identity,
     cyclic_group,
     direct_product,
+    omega_power,
     subsemigroup,
-    validate,
     _find_identity,
 )
 from .green import ReesMatrixSemigroup
@@ -49,11 +49,12 @@ class NotEndomorphismError(SemigroupError):
 
 
 def _require_group(G: FiniteSemigroup) -> None:
+    """G has an identity e and x^w = e for every x (so x^(w-1) inverts x)."""
     e = G.identity
     if e is None:
         raise NotAGroupError("no identity element")
     for x in range(len(G)):
-        if not any(G.table[x][y] == e and G.table[y][x] == e for y in range(len(G))):
+        if omega_power(G, x) != e:
             raise NotAGroupError(f"element {x} has no inverse")
 
 
@@ -154,7 +155,9 @@ def synthesis(
         (s1, t, s2) . s         = (s1, t, s2 s)
         (s1, t, s2) . (s1', t', s2') = (s1, t f(s2 s1') t', s2')
 
-    The carrier table is re-verified by validate().
+    The carrier is associative for every f, since both bracketings of a
+    product of three triples give (s1, t f(s2 r1) u f(r2 q1) v, q2); so it
+    is not rescanned.
     """
     S1 = adjoin_identity(S)
     T1 = adjoin_identity(T)
@@ -198,7 +201,10 @@ def synthesis(
     labels = tuple(f"S:{S.elements[s]}" for s in range(ns)) + tuple(
         f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
     )
-    carrier = validate(labels, tab)
+    if len(set(labels)) != size:
+        raise SemigroupError("duplicate element labels")
+    tab = tuple(map(tuple, tab))
+    carrier = FiniteSemigroup(labels, tab, None, _find_identity(tab))
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
 

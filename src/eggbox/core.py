@@ -2,14 +2,16 @@
 
 Elements are referenced by index into a fixed ordering; labels are for I/O
 only, so all algebra stays integer-only. Instances are immutable after
-construction and safe to share.
+construction and safe to share. Data derived from the table (omega tables,
+Green structure) is computed on first use and kept on the instance, so each
+object is derived once per semigroup.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Mapping, Optional
 
 
 class SemigroupError(ValueError):
@@ -59,6 +61,16 @@ class FiniteSemigroup:
     table: tuple[tuple[int, ...], ...]
     generators: Optional[dict[str, int]] = None
     identity: Optional[int] = None
+    # Created at construction so the instance layout never changes afterwards
+    # (a key added to __dict__ later slows every attribute read in hot loops).
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _derive(self, name: str, compute: Callable[["FiniteSemigroup"], object]):
+        """compute(self), evaluated once and kept under `name`."""
+        derived = self._derived
+        if name not in derived:
+            derived[name] = compute(self)
+        return derived[name]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -210,26 +222,36 @@ def cycle_index_period(S: FiniteSemigroup, s: int) -> tuple[int, int]:
     return tail, period
 
 
+def _omega_tables(S: FiniteSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """x^w and x^(w-1) for every x, from one power-cycle walk per element.
+
+    The powers s^tail .. s^L form a cyclic group of order `period` whose
+    identity is s^m, the multiple of the period in that range; the inverse of
+    s*s^w = s^(m+1) is s^(m+period-1), reduced into the cycle.
+    """
+    omega, minus_one = [], []
+    for s in range(len(S)):
+        seen, rep = _cycle_of(S, s)
+        powers = list(seen)  # powers[e - 1] = s^e
+        tail = seen[rep]
+        period = len(powers) + 1 - tail
+        m = period * ((tail + period - 1) // period)
+        q = m + period - 1
+        if q > len(powers):
+            q -= period
+        omega.append(powers[m - 1])
+        minus_one.append(powers[q - 1])
+    return tuple(omega), tuple(minus_one)
+
+
 def omega_power(S: FiniteSemigroup, s: int) -> int:
     """The unique idempotent in the cyclic subsemigroup generated by s."""
-    seen, rep = _cycle_of(S, s)
-    tail = seen[rep]
-    period = len(seen) + 1 - tail
-    m = period * ((tail + period - 1) // period)
-    for elem, exp in seen.items():
-        if exp == m:
-            return elem
-    raise AssertionError("omega power not found")
+    return S._derive("omega", _omega_tables)[0][s]
 
 
 def omega_minus_one(S: FiniteSemigroup, s: int) -> int:
     """Inverse of s*s^w in the maximal subgroup containing s^w."""
-    e = omega_power(S, s)
-    t = S.table[s][e]
-    powers = [t]
-    while powers[-1] != e:
-        powers.append(S.table[powers[-1]][t])
-    return powers[-2] if len(powers) >= 2 else e
+    return S._derive("omega", _omega_tables)[1][s]
 
 
 def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:
@@ -268,7 +290,7 @@ def evaluate_word(S: FiniteSemigroup, gen_map: Mapping[str, int], word) -> int:
     `word` is a string (one letter per character) or an iterable of letter
     strings.
     """
-    letters = list(word) if not isinstance(word, str) else list(word)
+    letters = list(word)
     if not letters:
         raise SemigroupError("cannot evaluate the empty word")
     acc = None

@@ -13,7 +13,7 @@ from .core import (
     FiniteSemigroup,
     SemigroupError,
     adjoin_identity,
-    omega_power,
+    omega_minus_one,
     subsemigroup,
     from_dict as semigroup_from_dict,
     to_dict as semigroup_to_dict,
@@ -62,20 +62,19 @@ class ReesMatrixSemigroup:
 
 
 def _ideals(S: FiniteSemigroup):
-    n = len(S)
-    rng = range(n)
-    right = [frozenset({s} | {S.table[s][x] for x in rng}) for s in rng]
-    left = [frozenset({s} | {S.table[x][s] for x in rng}) for s in rng]
-    two = []
-    for s in rng:
-        ideal = {s}
-        ideal.update(S.table[s][x] for x in rng)
-        ideal.update(S.table[x][s] for x in rng)
-        for x in rng:
-            xs = S.table[x][s]
-            ideal.update(S.table[xs][y] for y in rng)
-        two.append(frozenset(ideal))
-    return right, left, two
+    """Principal right, left and two-sided ideals sS^1, S^1s and S^1sS^1.
+
+    The two-sided ideal is the union of S^1r over r in sS^1, computed once
+    per distinct right ideal.
+    """
+    rng = range(len(S))
+    right = [frozenset(S.table[s]).union((s,)) for s in rng]
+    left = [frozenset(S.table[x][s] for x in rng).union((s,)) for s in rng]
+    two_of: dict[frozenset, frozenset] = {}
+    for r in right:
+        if r not in two_of:
+            two_of[r] = frozenset().union(*(left[t] for t in r))
+    return right, left, [two_of[r] for r in right]
 
 
 def _classify_by(ideals) -> tuple[int, ...]:
@@ -89,6 +88,11 @@ def _classify_by(ideals) -> tuple[int, ...]:
 
 
 def green_structure(S: FiniteSemigroup) -> GreenStructure:
+    """Green's R, L, J, H classes and the J-order, computed once per S."""
+    return S._derive("green", _green_structure)
+
+
+def _green_structure(S: FiniteSemigroup) -> GreenStructure:
     n = len(S)
     right, left, two = _ideals(S)
     r = _classify_by(right)
@@ -119,14 +123,9 @@ def kernel(S: FiniteSemigroup) -> frozenset[int]:
 
 
 def is_completely_simple(S: FiniteSemigroup) -> bool:
-    """Does S satisfy x(yx)^w = x for all assignments?"""
-    n = len(S)
-    for x in range(n):
-        for y in range(n):
-            e = omega_power(S, S.table[y][x])
-            if S.table[x][e] != x:
-                return False
-    return True
+    """Is S simple, i.e. a single J-class? For finite S this is equivalent to
+    x(yx)^w = x for all x, y."""
+    return max(green_structure(S).j_class) == 0
 
 
 def maximal_subgroup(S: FiniteSemigroup, e: int) -> FiniteSemigroup:
@@ -136,14 +135,6 @@ def maximal_subgroup(S: FiniteSemigroup, e: int) -> FiniteSemigroup:
     gs = green_structure(S)
     members = [x for x in range(len(S)) if gs.h_class[x] == gs.h_class[e]]
     return subsemigroup(S, members)
-
-
-def _group_inverse(G: FiniteSemigroup, g: int) -> int:
-    e = G.identity
-    for x in range(len(G)):
-        if G.table[g][x] == e and G.table[x][g] == e:
-            return x
-    raise SemigroupError(f"element {g} has no inverse")
 
 
 def rees_coordinatize(S: FiniteSemigroup) -> tuple[ReesMatrixSemigroup, tuple[tuple[int, int, int], ...]]:
@@ -187,14 +178,12 @@ def rees_coordinatize(S: FiniteSemigroup) -> tuple[ReesMatrixSemigroup, tuple[tu
     for cls in a_classes:
         r = pick(cls, gs.l_class[e])
         h = S.table[e][r]  # lies in H_e
-        hinv = h_members[_group_inverse(G, g_of[h])]
-        r_reps.append(S.table[r][hinv])
+        r_reps.append(S.table[r][omega_minus_one(S, h)])
     q_reps = []
     for cls in b_classes:
         q = pick(gs.r_class[e], cls)
         h = S.table[q][e]
-        hinv = h_members[_group_inverse(G, g_of[h])]
-        q_reps.append(S.table[hinv][q])
+        q_reps.append(S.table[omega_minus_one(S, h)][q])
 
     sandwich = tuple(
         tuple(g_of[S.table[q][r]] for r in r_reps) for q in q_reps

@@ -16,6 +16,7 @@ from .core import (
     BoundExceededError,
     SemigroupError,
     omega_power,
+    opposite,
     small_generating_set,
     _find_identity,
 )
@@ -97,42 +98,9 @@ def left_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
 
 
 def right_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
-    n = len(S)
-    gens = small_generating_set(S)
-    gen_set = set(gens)
-    fact = {}
-    for s in range(n):
-        if s in gen_set:
-            continue
-        done = False
-        for g in gens:
-            for w in range(n):
-                if S.table[w][g] == s:
-                    fact[s] = (w, g)
-                    done = True
-                    break
-            if done:
-                break
-        else:
-            raise SemigroupError(f"element {s} not reachable with a generator suffix")
-    found = []
-    for assign in itertools.product(range(n), repeat=len(gens)):
-        rho = [0] * n
-        for g, v in zip(gens, assign):
-            rho[g] = v
-        for s, (w, g) in fact.items():
-            rho[s] = S.table[w][rho[g]]
-        ok = True
-        for s in range(n):
-            for t in range(n):
-                if rho[S.table[s][t]] != S.table[s][rho[t]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(rho))
-    return found
+    """All maps rho with (st)rho = s(t)rho: the left translations of the
+    opposite semigroup."""
+    return left_translations(opposite(S))
 
 
 def _linked(S: FiniteSemigroup, lam: tuple[int, ...], rho: tuple[int, ...]) -> bool:
@@ -253,13 +221,6 @@ def kernel_representation(S: FiniteSemigroup) -> KernelRepresentation:
     n = len(S)
     lam = tuple(tuple(pos[S.table[s][k]] for k in ker) for s in range(n))
     rho = tuple(tuple(pos[S.table[k][s]] for k in ker) for s in range(n))
-    for s in range(n):  # homomorphism property, cheap at desk scale
-        for t in range(n):
-            st = S.table[s][t]
-            if any(lam[st][i] != lam[s][lam[t][i]] for i in range(len(ker))):
-                raise AssertionError("kernel representation is not a homomorphism")
-            if any(rho[st][i] != rho[t][rho[s][i]] for i in range(len(ker))):
-                raise AssertionError("kernel representation is not a homomorphism")
     return KernelRepresentation(ker, lam, rho)
 
 

@@ -13,15 +13,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .core import BoundExceededError, FiniteSemigroup, SemigroupError
+from .core import BoundExceededError, FiniteSemigroup, SemigroupError, UnknownLetterError
 from .hull import classify
 
 
 class OrderError(ValueError):
-    pass
-
-
-class UnknownLetterError(SemigroupError):
     pass
 
 

@@ -96,3 +96,28 @@ def small_library():
         "U1xZ2": core.direct_product(core.u1(), core.cyclic_group(2)),
         "S3": s3_table(),
     }
+
+
+def random_transformation_semigroup(rng, max_size=120, min_size=8):
+    """The semigroup generated by a few random self-maps of a small set.
+
+    Associative by construction; degree and generators are drawn from `rng`
+    until the closure has between `min_size` and `max_size` elements.
+    """
+    while True:
+        m = rng.randint(3, 5)
+        gens = {tuple(rng.randrange(m) for _ in range(m)) for _ in range(rng.randint(2, 3))}
+        elems, frontier = set(gens), list(gens)
+        while frontier and len(elems) <= max_size:
+            new = []
+            for f in frontier:
+                for g in gens:
+                    h = tuple(g[f[i]] for i in range(m))
+                    if h not in elems:
+                        elems.add(h)
+                        new.append(h)
+            frontier = new
+        if min_size <= len(elems) <= max_size:
+            return core.from_function(
+                sorted(elems), lambda f, g: tuple(g[f[i]] for i in range(len(f)))
+            )

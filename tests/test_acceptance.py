@@ -91,8 +91,9 @@ def test_criterion_04_synthesis_lemma():
             hosts = group_subsemigroups(S) + group_subsemigroups(T)
             host_sizes = {len(G) for G in hosts}
             for f in itertools.product(range(len(T1)), repeat=len(S1)):
-                syn = cons.synthesis(S, T, list(f))  # validate() reruns associativity
+                syn = cons.synthesis(S, T, list(f))
                 M = syn.carrier
+                core.validate(M.elements, M.table)  # full associativity scan
                 assert len(M) == len(S) + len(S1) ** 2 * len(T1)
                 gs = green.green_structure(M)
                 for e in M.idempotents():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,7 +12,7 @@ from eggbox.constructions import (
     PartialFError,
     ShapeMismatchError,
 )
-from conftest import group_subsemigroups, s3_table
+from conftest import group_subsemigroups, random_transformation_semigroup, s3_table
 
 
 def test_rees_matrix_band():
@@ -81,6 +82,30 @@ def test_synthesis_sizes_and_associativity(z2):
     for f in itertools.product(range(2), repeat=2):
         syn = cons.synthesis(z2, z2, list(f))
         assert len(syn.carrier) == 10
+
+
+def test_synthesis_carrier_is_associative():
+    # the carrier is built without an associativity rescan; validate() must
+    # accept it for any f, also when S is not a monoid
+    rng = random.Random(41)
+    pool = [core.u1(), core.cyclic_group(2), core.left_zero(2), core.null_semigroup(2)]
+    pool.append(random_transformation_semigroup(rng, max_size=6, min_size=3))
+    for S in pool:
+        for T in pool[:3]:
+            S1, T1 = core.adjoin_identity(S), core.adjoin_identity(T)
+            for _ in range(3):
+                f = [rng.randrange(len(T1)) for _ in range(len(S1))]
+                M = cons.synthesis(S, T, f).carrier
+                V = core.validate(M.elements, M.table)
+                assert V.identity == M.identity
+
+
+def test_synthesis_rejects_colliding_labels():
+    # (a,b,c,..) arises both from s1 = "a,b", t = "c" and from s1 = "a", t = "b,c"
+    S = core.from_function([0, 1], min, ["a", "a,b"])
+    T = core.from_function([0, 1], min, ["c", "b,c"])
+    with pytest.raises(core.SemigroupError, match="duplicate element labels"):
+        cons.synthesis(S, T, [0, 0])
 
 
 def test_synthesis_s_copy_and_ideal(z2):

@@ -1,0 +1,154 @@
+"""Derived data kept on a FiniteSemigroup: omega tables and Green structure.
+
+Each fast path is compared against the plain definition it replaced, on
+random transformation semigroups built with a fixed seed.
+"""
+
+import json
+import random
+
+from eggbox import cli, constructions, core, green, hull
+from conftest import random_transformation_semigroup, small_library
+from test_core import oracle_omega
+
+
+def samples(seed, count, max_size=120):
+    rng = random.Random(seed)
+    return [random_transformation_semigroup(rng, max_size) for _ in range(count)]
+
+
+# --- oracle: the ideal-based Green structure, as it was before caching ---------
+
+def oracle_ideals(S):
+    n = len(S)
+    rng = range(n)
+    right = [frozenset({s} | {S.table[s][x] for x in rng}) for s in rng]
+    left = [frozenset({s} | {S.table[x][s] for x in rng}) for s in rng]
+    two = []
+    for s in rng:
+        ideal = {s}
+        ideal.update(S.table[s][x] for x in rng)
+        ideal.update(S.table[x][s] for x in rng)
+        for x in rng:
+            xs = S.table[x][s]
+            ideal.update(S.table[xs][y] for y in rng)
+        two.append(frozenset(ideal))
+    return right, left, two
+
+
+def oracle_classify_by(ideals):
+    ids = {}
+    out = []
+    for ideal in ideals:
+        if ideal not in ids:
+            ids[ideal] = len(ids)
+        out.append(ids[ideal])
+    return tuple(out)
+
+
+def oracle_green_structure(S):
+    n = len(S)
+    right, left, two = oracle_ideals(S)
+    r = oracle_classify_by(right)
+    l = oracle_classify_by(left)
+    j = oracle_classify_by(two)
+    h = oracle_classify_by(list(zip(r, l)))
+
+    n_j = max(j) + 1
+    rep = [None] * n_j
+    for x in range(n):
+        if rep[j[x]] is None:
+            rep[j[x]] = x
+    order = frozenset(
+        (a, b) for a in range(n_j) for b in range(n_j) if two[rep[a]] <= two[rep[b]]
+    )
+    minima = [c for c in range(n_j) if all((c, d) in order for d in range(n_j))]
+    assert len(minima) == 1, "finite semigroup must have a unique minimum ideal"
+    regular = [False] * n_j
+    for e in S.idempotents():
+        regular[j[e]] = True
+    return green.GreenStructure(r, l, j, h, order, minima[0], tuple(regular))
+
+
+def scan_completely_simple(S):
+    """x(yx)^w = x for all x, y, with omega powers found by iteration."""
+    n = len(S)
+    return all(
+        S.mul(x, oracle_omega(S, S.mul(y, x))) == x for x in range(n) for y in range(n)
+    )
+
+
+# --- differential tests --------------------------------------------------------
+
+def test_green_structure_matches_ideal_oracle():
+    library = list(small_library().values())
+    sizes = []
+    for S in library + samples(21, 40):
+        assert green.green_structure(S) == oracle_green_structure(S)
+        sizes.append(len(S))
+    assert max(sizes) > 60  # the sample reaches past desk scale
+
+
+def test_is_completely_simple_matches_identity_scan():
+    pool = list(small_library().values()) + samples(22, 30, max_size=60)
+    rng = random.Random(25)
+    for _ in range(5):
+        a, b, G = rng.randint(1, 3), rng.randint(1, 3), core.cyclic_group(rng.randint(1, 4))
+        P = [[rng.randrange(len(G)) for _ in range(a)] for _ in range(b)]
+        pool.append(constructions.rees_matrix(a, G, b, P))
+    seen = set()
+    for S in pool:
+        cs = scan_completely_simple(S)
+        assert green.is_completely_simple(S) == cs
+        seen.add(cs)
+    assert seen == {True, False}
+
+
+def test_omega_tables_match_oracle():
+    for S in samples(23, 30):
+        for s in range(len(S)):
+            w = core.omega_power(S, s)
+            m = core.omega_minus_one(S, s)
+            assert w == oracle_omega(S, s)
+            assert S.mul(s, m) == w == S.mul(m, s)
+            assert S.mul(w, m) == m  # x^(w-1) lies in the group of x^w
+
+
+# --- the cache itself ----------------------------------------------------------
+
+def test_deriving_keeps_the_instance_layout():
+    S = samples(24, 1)[0]
+    keys = list(vars(S))
+    core.omega_power(S, 0)
+    green.green_structure(S)
+    hull.kernel_representation(S)
+    assert set(S._derived) == {"omega", "green"}
+    assert list(vars(S)) == keys
+
+
+def test_derived_data_is_computed_once(monkeypatch):
+    calls = []
+    real = green._green_structure
+    monkeypatch.setattr(green, "_green_structure", lambda S: calls.append(S) or real(S))
+    S = core.full_transformation_monoid(2)
+    assert green.green_structure(S) is green.green_structure(S)
+    green.kernel(S)
+    green.is_completely_simple(S)
+    assert calls == [S]
+    # an equal but distinct instance keeps its own copy
+    T = core.full_transformation_monoid(2)
+    green.green_structure(T)
+    assert len(calls) == 2
+
+
+def test_analyze_builds_green_structure_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = green._green_structure
+    monkeypatch.setattr(green, "_green_structure", lambda S: calls.append(len(S)) or real(S))
+    for S in (constructions.k_p(2), core.direct_product(core.u1(), core.cyclic_group(2))):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(core.to_dict(S)))
+        calls.clear()
+        assert cli.main(["analyze", str(path)]) == 0
+        capsys.readouterr()
+        assert calls == [len(S)]

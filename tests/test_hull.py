@@ -6,7 +6,7 @@ import pytest
 from eggbox import core, green, hull, constructions as cons
 from eggbox.core import BoundExceededError
 from eggbox.green import NotCompletelySimpleError
-from conftest import small_library
+from conftest import random_transformation_semigroup, small_library
 
 
 def test_inner_bitranslations_are_linked():
@@ -106,6 +106,20 @@ def test_kernel_representation_faithful_on_kernel():
             key = (rep.lambda_of[k], rep.rho_of[k])
             assert key not in seen, name
             seen[key] = k
+
+
+def test_kernel_representation_is_a_homomorphism():
+    rng = random.Random(31)
+    pool = list(small_library().values())
+    pool += [random_transformation_semigroup(rng, max_size=40) for _ in range(10)]
+    for S in pool:
+        rep = hull.kernel_representation(S)
+        idx = range(len(rep.kernel))
+        for s in range(len(S)):
+            for t in range(len(S)):
+                st = S.mul(s, t)
+                assert rep.lambda_of[st] == tuple(rep.lambda_of[s][rep.lambda_of[t][i]] for i in idx)
+                assert rep.rho_of[st] == tuple(rep.rho_of[t][rep.rho_of[s][i]] for i in idx)
 
 
 def test_kernel_representation_band_depends_on_row(rb22):
