@@ -109,7 +109,8 @@ def _green_structure(S: FiniteSemigroup) -> GreenStructure:
         (a, b) for a in range(n_j) for b in range(n_j) if two[rep[a]] <= two[rep[b]]
     )
     minima = [c for c in range(n_j) if all((c, d) in order for d in range(n_j))]
-    assert len(minima) == 1, "finite semigroup must have a unique minimum ideal"
+    if len(minima) != 1:
+        raise SemigroupError("finite semigroup must have a unique minimum ideal")
     regular = [False] * n_j
     for e in S.idempotents():
         regular[j[e]] = True
@@ -197,7 +198,8 @@ def rees_coordinatize(S: FiniteSemigroup) -> tuple[ReesMatrixSemigroup, tuple[tu
             if S.table[S.table[r_reps[a]][h_members[g]]][q_reps[b]] == s:
                 g_found = g
                 break
-        assert g_found is not None, "Rees coordinates must cover every element"
+        if g_found is None:
+            raise SemigroupError("Rees coordinates must cover every element")
         coords.append((a, g_found, b))
     rm = ReesMatrixSemigroup(len(a_classes), len(b_classes), G, sandwich)
     return rm, tuple(coords)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .core import BoundExceededError, FiniteSemigroup, SemigroupError, UnknownLetterError
 from .hull import classify
@@ -61,7 +61,11 @@ def ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> OrderedSemi
 
 
 def trivial_order(S: FiniteSemigroup) -> OrderedSemigroup:
-    return OrderedSemigroup(S, frozenset((x, x) for x in range(len(S))))
+    return OrderedSemigroup(S, _diagonal(len(S)))
+
+
+def _diagonal(n: int) -> frozenset[tuple[int, int]]:
+    return frozenset((x, x) for x in range(n))
 
 
 def stable_closure(
@@ -73,51 +77,100 @@ def stable_closure(
     whose insertion made the relation fail antisymmetry, or None when the
     closure is a stable partial order.
     """
-    n = len(S)
-    rel: set[tuple[int, int]] = {(x, x) for x in range(n)}
-    succ: list[set[int]] = [{x} for x in range(n)]
-    pred: list[set[int]] = [{x} for x in range(n)]
+    rel, violation = _close(S, seeds, stop=False)
+    return frozenset(rel) | _diagonal(len(S)), violation
+
+
+def _close(
+    S: FiniteSemigroup,
+    seeds: Iterable[tuple[int, int]],
+    stop: bool,
+    base: Iterable[tuple[int, int]] = (),
+    bad: Collection[tuple[int, int]] = (),
+) -> tuple[set[tuple[int, int]], Optional[tuple[int, int]]]:
+    """Breadth-first stable closure over the off-diagonal pairs.
+
+    `base` must already be closed: its pairs are present from the start and
+    are not expanded again. A pair counts as a violation when its reverse is
+    present or when it lies in `bad` (pairs no stable order contains). With
+    `stop` the search ends at the first violation and the relation returned
+    is partial; otherwise it runs to completion and reports the first one.
+    Only touched elements get a successor or predecessor set.
+    """
+    table = S.table
+    rel: set[tuple[int, int]] = set()
+    succ: dict[int, set[int]] = {}
+    pred: dict[int, set[int]] = {}
     queue: deque[tuple[int, int]] = deque()
     violation: Optional[tuple[int, int]] = None
 
-    def add(a: int, b: int):
-        nonlocal violation
-        if (a, b) in rel:
-            return
+    def link(a: int, b: int) -> None:
         rel.add((a, b))
-        succ[a].add(b)
-        pred[b].add(a)
-        queue.append((a, b))
-        if violation is None and a != b and (b, a) in rel:
-            violation = (a, b)
+        succ.setdefault(a, {a}).add(b)
+        pred.setdefault(b, {b}).add(a)
 
+    def add(a: int, b: int) -> bool:
+        """Insert a new off-diagonal pair; True means the search must stop."""
+        nonlocal violation
+        link(a, b)
+        queue.append((a, b))
+        if (b, a) in rel or (a, b) in bad:
+            if violation is None:
+                violation = (a, b)
+            return stop
+        return False
+
+    for a, b in base:
+        if a != b:
+            link(a, b)
     for a, b in seeds:
-        add(a, b)
+        if a != b and (a, b) not in rel and add(a, b):
+            return rel, violation
     while queue:
         a, b = queue.popleft()
-        for u in range(n):
-            add(S.table[u][a], S.table[u][b])
-            add(S.table[a][u], S.table[b][u])
-        for x in list(pred[a]):
-            add(x, b)
-        for y in list(succ[b]):
-            add(a, y)
-    return frozenset(rel), violation
+        for row, x, y in zip(table, table[a], table[b]):
+            c, d = row[a], row[b]
+            if c != d and (c, d) not in rel and add(c, d):
+                return rel, violation
+            if x != y and (x, y) not in rel and add(x, y):
+                return rel, violation
+        for x in list(pred.get(a, ())):
+            if x != b and (x, b) not in rel and add(x, b):
+                return rel, violation
+        for y in list(succ.get(b, ())):
+            if a != y and (a, y) not in rel and add(a, y):
+                return rel, violation
+    return rel, violation
+
+
+def _stable_order(
+    S: FiniteSemigroup,
+    seed: tuple[int, int],
+    bad: Collection[tuple[int, int]],
+    base: Iterable[tuple[int, int]] = (),
+) -> Optional[frozenset[tuple[int, int]]]:
+    """The closure of base and seed when it is a stable order, else None."""
+    rel, violation = _close(S, [seed], stop=True, base=base, bad=bad)
+    return None if violation is not None else frozenset(rel) | _diagonal(len(S))
 
 
 def is_orderable(S: FiniteSemigroup) -> tuple[bool, Optional[OrderedSemigroup]]:
     """Does S admit a nontrivial stable partial order?
 
-    The witness is the stable closure of the first orderable seed pair.
+    The witness is the stable closure of the first orderable seed pair (s, t),
+    s != t, in lexicographic order. The closure of (t, s) is the order dual
+    of that of (s, t), so the first orderable seed has s < t and only those
+    are closed. A failed seed fails inside every closure that reaches it or
+    its reverse, so such closures stop there.
     """
     n = len(S)
+    bad: set[tuple[int, int]] = set()
     for s in range(n):
-        for t in range(n):
-            if s == t:
-                continue
-            rel, violation = stable_closure(S, [(s, t)])
-            if violation is None:
+        for t in range(s + 1, n):
+            rel = _stable_order(S, (s, t), bad)
+            if rel is not None:
                 return True, OrderedSemigroup(S, rel)
+            bad.update(((s, t), (t, s)))
     return False, None
 
 
@@ -128,23 +181,30 @@ def enumerate_stable_orders(
 
     Every stable order is reached from the trivial one by repeatedly closing
     over one extra pair, so a breadth-first search over closures is
-    exhaustive. Without a limit the carrier is capped at 6 elements.
+    exhaustive. Without a limit the carrier is capped at 6 elements. Seeds
+    that fail on the trivial order (and their reverses) fail on every base.
     """
     n = len(S)
     if limit is None and n > 6:
         raise BoundExceededError(f"|S|={n} needs an explicit limit")
-    trivial = frozenset((x, x) for x in range(n))
+    if limit is not None and limit < 1:
+        raise OrderError(f"limit must be at least 1, got {limit}")
+    trivial = _diagonal(n)
     seen = {trivial}
     queue = deque([trivial])
+    bad: set[tuple[int, int]] = set()
     full = limit is not None and len(seen) >= limit
     while queue and not full:
         base = queue.popleft()
         for s in range(n):
             for t in range(n):
-                if s == t or (s, t) in base:
+                if s == t or (s, t) in base or (s, t) in bad:
                     continue
-                rel, violation = stable_closure(S, sorted(base) + [(s, t)])
-                if violation is None and rel not in seen:
+                rel = _stable_order(S, (s, t), bad, base)
+                if rel is None:
+                    if base is trivial:
+                        bad.update(((s, t), (t, s)))
+                elif rel not in seen:
                     seen.add(rel)
                     queue.append(rel)
                     if limit is not None and len(seen) >= limit:

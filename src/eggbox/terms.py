@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -290,8 +291,10 @@ def satisfies_identity(
 
     On failure returns the lexicographically first witness assignment
     (letters sorted, values in index order), also when the scan is split
-    across worker processes.
+    across worker processes. At most min(jobs, |S|, CPU count) workers start.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if isinstance(lhs, str):
         lhs = parse_term(lhs)
     if isinstance(rhs, str):
@@ -299,13 +302,11 @@ def satisfies_identity(
     variables = sorted(letters_of(lhs) | letters_of(rhs))
     n = len(S)
     rest = len(variables) - 1
-    if jobs > 1 and n > 1:
-        chunks = [list(range(n))[i::jobs] for i in range(jobs)]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            hits = pool.map(
-                _scan_block,
-                [(S, lhs, rhs, variables, chunk, rest) for chunk in chunks if chunk],
-            )
+    workers = min(jobs, n, os.cpu_count() or 1)
+    if workers > 1:
+        chunks = [range(i, n, workers) for i in range(workers)]
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            hits = pool.map(_scan_block, [(S, lhs, rhs, variables, c, rest) for c in chunks])
         hits = [h for h in hits if h is not None]
         if not hits:
             return True, None
@@ -497,7 +498,8 @@ def _encode(ctx: tuple[str, ...], term: Term, n: int):
     U = base if j == 1 else Power(base, j)
     head, tail_u = _encode(ctx, U, n)
     block, tail_check = _encode(tail_u, U, n)
-    assert block is not None and tail_check == tail_u
+    if block is None or tail_check != tail_u:
+        raise RuntimeError("omega block must encode to a nonempty term with a stable tail")
     pieces = [head] if head is not None else []
     if j == 1 and k >= 0:
         pieces.append(Power(block, OmegaExp(k - 1)))

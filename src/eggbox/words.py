@@ -297,9 +297,12 @@ def connect_word(w: WordLike, a: str, b: str) -> Word:
         big = w.letters + (a,) * len(w) + w.letters
         aw = (a,) + w.letters
         i = _find_factor(big, aw)
-        assert i >= 0, "a*w must occur in w a^|w| w"
+        if i < 0:
+            raise RuntimeError("a*w must occur in w a^|w| w")
         t = Word(big[len(w) : i + len(aw)])
     wt = (w * t).letters
-    assert _occurrences(wt, (a,) + w.letters) == [len(wt) - len(w) - 1]
-    assert _occurrences(wt, (b,) + w.letters) == []
+    if _occurrences(wt, (a,) + w.letters) != [len(wt) - len(w) - 1]:
+        raise RuntimeError("w*t must end with its only occurrence of a*w")
+    if _occurrences(wt, (b,) + w.letters):
+        raise RuntimeError("w*t must avoid b*w")
     return t

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from eggbox import cli, core, order
 
 
@@ -226,6 +228,23 @@ def test_jobs_flag(tmp_path, capsys, z3):
     code1, out1, _ = run(capsys, ["--jobs", "2", "check", "id", path, "xy", "yx x"])
     code2, out2, _ = run(capsys, ["check", "id", path, "xy", "yx x"])
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_orders_rejects_limit_below_one(tmp_path, capsys, u1, limit):
+    path = write_semigroup(tmp_path, "u1.json", u1)
+    code, out, err = run(capsys, ["orders", path, "--limit", limit])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "limit" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_rejected(tmp_path, capsys, z3, jobs):
+    path = write_semigroup(tmp_path, "z3.json", z3)
+    for argv in (["check", "id", path, "xy", "yx"], ["analyze", path]):
+        code, out, err = run(capsys, ["--jobs", jobs, *argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--jobs" in err
 
 
 def test_real_pipe_construct_analyze():

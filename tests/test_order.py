@@ -1,11 +1,13 @@
 import itertools
+import random
+from collections import deque
 
 import pytest
 
-from eggbox import core, order, terms, words
+from eggbox import constructions, core, order, terms, words
 from eggbox.core import BoundExceededError
 from eggbox.order import OrderError
-from conftest import small_library, s3_table
+from conftest import random_transformation_semigroup, small_library, s3_table
 
 
 def test_stable_closure_u1(u1):
@@ -259,3 +261,163 @@ def test_stable_orders_on_rb22_factor_through_rows_and_columns(rb22):
     # order: 3 x 3 = 9
     found = order.enumerate_stable_orders(rb22, limit=50)
     assert len(found) == 9
+
+
+# --- differential tests: the early-exit search against the full closures ------
+
+def oracle_stable_closure(S, seeds):
+    """The full-closure BFS that `stable_closure` replaced, copied verbatim."""
+    n = len(S)
+    rel = {(x, x) for x in range(n)}
+    succ = [{x} for x in range(n)]
+    pred = [{x} for x in range(n)]
+    queue = deque()
+    violation = None
+
+    def add(a, b):
+        nonlocal violation
+        if (a, b) in rel:
+            return
+        rel.add((a, b))
+        succ[a].add(b)
+        pred[b].add(a)
+        queue.append((a, b))
+        if violation is None and a != b and (b, a) in rel:
+            violation = (a, b)
+
+    for a, b in seeds:
+        add(a, b)
+    while queue:
+        a, b = queue.popleft()
+        for u in range(n):
+            add(S.table[u][a], S.table[u][b])
+            add(S.table[a][u], S.table[b][u])
+        for x in list(pred[a]):
+            add(x, b)
+        for y in list(succ[b]):
+            add(a, y)
+    return frozenset(rel), violation
+
+
+def oracle_is_orderable(S):
+    """The full-closure decision: the first seed (s, t), over all s != t in
+    lexicographic order, whose closure is antisymmetric."""
+    n = len(S)
+    for s in range(n):
+        for t in range(n):
+            if s != t:
+                rel, violation = order.stable_closure(S, [(s, t)])
+                if violation is None:
+                    return True, rel
+    return False, None
+
+
+def oracle_enumerate_stable_orders(S, limit):
+    """The full-closure breadth-first search over bases, copied verbatim
+    but for the size bound and the result, given as sorted pair lists."""
+    n = len(S)
+    trivial = frozenset((x, x) for x in range(n))
+    seen = {trivial}
+    queue = deque([trivial])
+    full = limit is not None and len(seen) >= limit
+    while queue and not full:
+        base = queue.popleft()
+        for s in range(n):
+            for t in range(n):
+                if s == t or (s, t) in base:
+                    continue
+                rel, violation = order.stable_closure(S, sorted(base) + [(s, t)])
+                if violation is None and rel not in seen:
+                    seen.add(rel)
+                    queue.append(rel)
+                    if limit is not None and len(seen) >= limit:
+                        full = True
+            if full:
+                break
+    return [sorted(rel) for rel in sorted(seen, key=sorted)]
+
+
+@pytest.fixture(scope="module")
+def differential_cases():
+    cases = dict(small_library())
+    cases.update({f"K{p}": constructions.k_p(p) for p in (2, 3, 5)})
+    cases.update({f"Z{n}": core.cyclic_group(n) for n in (5, 7, 8)})
+    rng = random.Random(20151)
+    for i in range(30):
+        cases[f"random{i}"] = random_transformation_semigroup(rng, max_size=20)
+    return cases
+
+
+def test_is_orderable_matches_full_closure_decision(differential_cases):
+    decisions = set()
+    for name, S in differential_cases.items():
+        ok, witness = order.is_orderable(S)
+        expected_ok, expected_leq = oracle_is_orderable(S)
+        assert ok == expected_ok, name
+        if ok:
+            assert witness.leq == expected_leq, name
+            order.ordered(S, witness.leq)
+        else:
+            assert witness is None, name
+        decisions.add(ok)
+    assert decisions == {True, False}
+
+
+def test_enumerate_matches_full_closure_search(differential_cases):
+    for name, S in differential_cases.items():
+        if len(S) > 12:
+            continue
+        for limit in (1, 4, 30):
+            found = [sorted(o.leq) for o in order.enumerate_stable_orders(S, limit=limit)]
+            assert found == oracle_enumerate_stable_orders(S, limit), (name, limit)
+
+
+def test_stable_closure_matches_full_closure_bfs(differential_cases):
+    rng = random.Random(7)
+    for name, S in differential_cases.items():
+        n = len(S)
+        seed_lists = [[(s, t)] for s in range(min(n, 5)) for t in range(min(n, 5))]
+        seed_lists += [
+            [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 4))]
+            for _ in range(10)
+        ]
+        for seeds in seed_lists:
+            assert order.stable_closure(S, seeds) == oracle_stable_closure(S, seeds), (name, seeds)
+
+
+def single_seed_closures(S):
+    n = len(S)
+    return {
+        (s, t): order.stable_closure(S, [(s, t)])[0]
+        for s in range(n)
+        for t in range(n)
+        if s != t
+    }
+
+
+def lemma_cases(differential_cases):
+    return [S for S in differential_cases.values() if len(S) <= 12]
+
+
+def test_closure_of_reversed_seed_is_the_dual(differential_cases):
+    # the cut to seeds s < t: (t, s) closes to the order dual of (s, t)
+    for S in lemma_cases(differential_cases):
+        closures = single_seed_closures(S)
+        for (s, t), rel in closures.items():
+            assert closures[(t, s)] == frozenset((b, a) for a, b in rel)
+
+
+def test_closure_of_a_member_is_contained(differential_cases):
+    # the shared bad pairs: p in closure(q) implies closure(p) within closure(q)
+    for S in lemma_cases(differential_cases):
+        closures = single_seed_closures(S)
+        for q, rel in closures.items():
+            for p in rel:
+                if p[0] != p[1]:
+                    assert closures[p] <= rel, (p, q)
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_enumerate_rejects_limit_below_one(u1, limit):
+    with pytest.raises(OrderError, match="limit"):
+        order.enumerate_stable_orders(u1, limit=limit)

@@ -95,6 +95,58 @@ def test_satisfies_identity_parallel_matches(z3, k2):
         )
 
 
+class RecordingContext:
+    """Stands in for a multiprocessing context: records each pool's worker
+    count and maps serially in this process, so no worker is started."""
+
+    def __init__(self):
+        self.workers = []
+
+    def Pool(self, processes):
+        self.workers.append(processes)
+        return SerialPool()
+
+
+class SerialPool:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize(
+    "jobs, cpus, size, expected",
+    [
+        (64, 8, 3, [3]),  # capped by |S|
+        (64, 4, 8, [4]),  # capped by the CPU count
+        (2, 8, 8, [2]),
+        (64, None, 8, []),  # unknown CPU count: serial
+        (1, 8, 8, []),
+        (64, 8, 1, []),
+    ],
+)
+def test_satisfies_identity_caps_workers(monkeypatch, jobs, cpus, size, expected):
+    ctx = RecordingContext()
+    monkeypatch.setattr(terms.multiprocessing, "get_context", lambda method: ctx)
+    monkeypatch.setattr(terms.os, "cpu_count", lambda: cpus)
+    S = core.cyclic_group(size)
+    for lhs, rhs in [("xy", "yx x"), ("xy", "yx"), ("x^2 y", "y x^2")]:
+        assert terms.satisfies_identity(S, lhs, rhs, jobs=jobs) == terms.satisfies_identity(
+            S, lhs, rhs
+        )
+    assert ctx.workers == expected * 3
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_satisfies_identity_rejects_jobs_below_one(z3, jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        terms.satisfies_identity(z3, "xy", "yx", jobs=jobs)
+
+
 def test_satisfies_inequality(u1):
     from eggbox import order
 
