@@ -86,7 +86,7 @@ def cmd_analyze(args) -> int:
         names = terms.pseudovariety_names() if args.pv == "all" else args.pv.split(",")
         memberships = {}
         for name in names:
-            ok, _ = terms.pseudovariety_membership(S, name, jobs=args.jobs)
+            ok, _ = terms.pseudovariety_membership(S, name)
             memberships[name] = ok
         report["pseudovarieties"] = memberships
     _emit(args, report, _flat_lines(report))
@@ -148,23 +148,15 @@ def cmd_construct(args) -> int:
 # --- check ---------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    if args.what == "id":
-        S, _ = _load_semigroup(args.args[0])
-        ok, witness = terms.satisfies_identity(
-            S, terms.parse_term(args.args[1]), terms.parse_term(args.args[2]), jobs=args.jobs
-        )
-        if ok:
-            _emit(args, {"holds": True}, ["holds"])
-            return 0
-        print(json.dumps({"holds": False, "witness": witness}))
-        return 1
-    if args.what == "ineq":
+    if args.what in ("id", "ineq"):
         S, ordered_s = _load_semigroup(args.args[0])
-        if ordered_s is None:
+        if args.what == "ineq" and ordered_s is None:
             raise ValueError("inequality check needs an 'order' field in the semigroup JSON")
-        ok, witness = terms.satisfies_inequality(
-            ordered_s, terms.parse_term(args.args[1]), terms.parse_term(args.args[2])
-        )
+        lhs, rhs = terms.parse_term(args.args[1]), terms.parse_term(args.args[2])
+        if args.what == "id":
+            ok, witness = terms.satisfies_identity(S, lhs, rhs)
+        else:
+            ok, witness = terms.satisfies_inequality(ordered_s, lhs, rhs)
         if ok:
             _emit(args, {"holds": True}, ["holds"])
             return 0
@@ -172,7 +164,7 @@ def cmd_check(args) -> int:
         return 1
     if args.what == "pv":
         S, _ = _load_semigroup(args.args[0])
-        ok, failing = terms.pseudovariety_membership(S, args.args[1], jobs=args.jobs)
+        ok, failing = terms.pseudovariety_membership(S, args.args[1])
         if ok:
             _emit(args, {"member": True}, ["member"])
             return 0
@@ -187,11 +179,10 @@ def cmd_check(args) -> int:
         print(json.dumps({"equal": False, "failed_condition": cond}))
         return 1
     if args.what == "vdn":
+        if args.in_path is None:
+            raise ValueError("check vdn needs --in with a semigroup JSON")
         T, _ = _load_semigroup(args.in_path)
-        res = terms.check_vdn(
-            terms.parse_term(args.args[0]), terms.parse_term(args.args[1]), args.n, T,
-            jobs=args.jobs,
-        )
+        res = terms.check_vdn(args.args[0], args.args[1], args.n, T)
         obj = {"i_t_equal": res.i_t_equal, "encoded_identity_holds": res.encoded_identity_holds}
         if res.i_t_equal and res.encoded_identity_holds:
             _emit(args, obj, [f"i_t_equal={res.i_t_equal}", f"encoded_identity_holds={res.encoded_identity_holds}"])
@@ -312,7 +303,7 @@ def cmd_orders(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="eggbox", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
-    top.add_argument("--jobs", type=int, default=1, help="workers for identity scans")
+    top.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="full structural report of a semigroup JSON")

@@ -481,10 +481,36 @@ def to_dict(S: FiniteSemigroup, order=None) -> dict:
     return obj
 
 
+def _require_list(value, path: str, ok, kind: str) -> None:
+    if not isinstance(value, list):
+        raise SemigroupError(f"{path} must be a list")
+    for i, v in enumerate(value):
+        if not ok(v):
+            raise SemigroupError(f"{path}[{i}] must be {kind}, got {v!r}")
+
+
+def _is_int(v) -> bool:
+    return type(v) is int  # not bool, not float
+
+
 def from_dict(obj: Mapping) -> FiniteSemigroup:
+    """Semigroup from its JSON object: 'elements' a list of strings, 'table'
+    a list of lists of ints, 'generators' (optional) a dict from str to int.
+    Errors name the offending path, e.g. table[1][0] or generators['x']."""
     if not isinstance(obj, Mapping) or "elements" not in obj or "table" not in obj:
         raise SemigroupError("semigroup JSON needs 'elements' and 'table'")
-    S = validate(obj["elements"], obj["table"], obj.get("generators"))
+    elements, table, gens = obj["elements"], obj["table"], obj.get("generators")
+    _require_list(elements, "elements", lambda e: isinstance(e, str), "a string")
+    _require_list(table, "table", lambda row: isinstance(row, list), "a list of integers")
+    for i, row in enumerate(table):
+        _require_list(row, f"table[{i}]", _is_int, "an integer")
+    if gens is not None:
+        if not isinstance(gens, dict):
+            raise SemigroupError("generators must be an object")
+        for name, idx in gens.items():
+            if not isinstance(name, str) or not _is_int(idx):
+                raise SemigroupError(f"generators[{name!r}] must be an integer, got {idx!r}")
+    S = validate(elements, table, gens)
     if "identity" in obj and obj["identity"] is not None and S.identity != obj["identity"]:
         raise SemigroupError(f"declared identity {obj['identity']} is not neutral")
     return S

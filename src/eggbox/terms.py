@@ -8,14 +8,13 @@ idempotent power and x^(w-1) to the group inverse of x x^w.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .core import FiniteSemigroup, omega_minus_one, omega_power
+from .core import FiniteSemigroup, _omega_tables
 from .words import (
     Word,
     EmptyWordError,
@@ -104,18 +103,23 @@ def letters_of(term: Term) -> frozenset[str]:
         return frozenset((term.ch,))
     if isinstance(term, Power):
         return letters_of(term.base)
-    out: frozenset[str] = frozenset()
-    for p in term.parts:
-        out |= letters_of(p)
-    return out
+    return frozenset().union(*map(letters_of, term.parts))
 
 
 # --- parsing and printing ----------------------------------------------------
+
+# Bound on both the open parentheses and the height of a parsed term (each
+# concatenation and each power suffix adds one), so that every recursion over
+# a term (parser, evaluator, printer, encoder) stays shallow. A printed term
+# has no more parentheses than height, so it parses again.
+_MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.parens = 0  # parentheses open at self.pos
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -130,39 +134,46 @@ class _Parser:
             raise TermSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
+    def nested(self, level: int) -> int:
+        if level > _MAX_NESTING:
+            raise TermSyntaxError(f"term nested deeper than {_MAX_NESTING} levels", self.pos)
+        return level
+
     def parse(self) -> Term:
-        t = self.parse_concat()
+        t, _ = self.parse_concat()
         self.skip_ws()
         if self.pos != len(self.text):
             raise TermSyntaxError("unexpected trailing input", self.pos)
         return t
 
-    def parse_concat(self) -> Term:
-        factors = []
-        while True:
-            c = self.peek()
-            if (c.isalpha() and c.islower()) or c == "(" or c == "[":
-                factors.append(self.parse_factor())
-            else:
-                break
+    # parse_concat, parse_factor and parse_atom return (term, height)
+    def parse_concat(self) -> tuple[Term, int]:
+        factors, height = [], 0
+        while (c := self.peek()) in ("(", "[") or (c.isalpha() and c.islower()):
+            t, h = self.parse_factor()
+            factors.append(t)
+            height = max(height, h)
         if not factors:
             raise TermSyntaxError("expected a term", self.pos)
-        return concat(factors)
+        return concat(factors), height if len(factors) == 1 else self.nested(height + 1)
 
-    def parse_factor(self) -> Term:
-        t = self.parse_atom()
+    def parse_factor(self) -> tuple[Term, int]:
+        t, height = self.parse_atom()
         while self.peek() == "^":
+            height = self.nested(height + 1)
             self.pos += 1
             t = Power(t, self.parse_exponent())
-        return t
+        return t, height
 
-    def parse_atom(self) -> Term:
+    def parse_atom(self) -> tuple[Term, int]:
         c = self.peek()
         if c == "(":
+            self.parens = self.nested(self.parens + 1)
             self.pos += 1
-            t = self.parse_concat()
+            t, height = self.parse_concat()
             self.expect(")")
-            return t
+            self.parens -= 1
+            return t, height
         if c == "[":
             self.pos += 1
             start = self.pos
@@ -172,10 +183,10 @@ class _Parser:
                 raise TermSyntaxError("unterminated composite letter", start)
             ch = self.text[start : self.pos]
             self.pos += 1
-            return Letter(ch)
+            return Letter(ch), 0
         if c.isalpha() and c.islower():
             self.pos += 1
-            return Letter(c)
+            return Letter(c), 0
         raise TermSyntaxError("expected a letter or parenthesis", self.pos)
 
     def parse_exponent(self) -> Union[int, OmegaExp]:
@@ -221,13 +232,8 @@ def parse_term(text: str) -> Term:
     return _Parser(text).parse()
 
 
-def _atom_text(t: Term) -> str:
-    txt = term_to_text(t)
-    if isinstance(t, Letter):
-        return txt
-    if isinstance(t, Power) and isinstance(t.base, Letter):
-        return txt
-    return f"({txt})"
+def _as_term(t: Union[str, Term]) -> Term:
+    return parse_term(t) if isinstance(t, str) else t
 
 
 def term_to_text(t: Term) -> str:
@@ -243,97 +249,81 @@ def term_to_text(t: Term) -> str:
         if not isinstance(t.base, Letter):
             base = f"({base})"
         return f"{base}^{etxt}"
-    return " ".join(
-        term_to_text(p) if isinstance(p, (Letter, Power)) and not isinstance(p, Concat)
-        else f"({term_to_text(p)})"
-        for p in t.parts
-    )
+    return " ".join(term_to_text(p) for p in t.parts)  # parts are letters or powers
 
 
 # --- evaluation and satisfaction ----------------------------------------------
 
-def evaluate(term: Term, S: FiniteSemigroup, assignment: Mapping[str, int]) -> int:
+def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
+    """`term` as a function of a value tuple v, letter ch being v[index[ch]].
+
+    Concatenation reads S.table. Each power reads a table of x^e for all x,
+    built here once (omega powers start from the cached omega tables).
+    """
+    table = S.table
     if isinstance(term, Letter):
-        if term.ch not in assignment:
+        if term.ch not in index:
             raise UnassignedLetterError(f"letter {term.ch!r} is unassigned")
-        return assignment[term.ch]
+        return operator.itemgetter(index[term.ch])
     if isinstance(term, Concat):
-        acc = evaluate(term.parts[0], S, assignment)
-        for p in term.parts[1:]:
-            acc = S.table[acc][evaluate(p, S, assignment)]
-        return acc
-    v = evaluate(term.base, S, assignment)
+        first, *rest = [_compile(p, S, index) for p in term.parts]
+
+        def product(v):
+            acc = first(v)
+            for f in rest:
+                acc = table[acc][f(v)]
+            return acc
+
+        return product
+    base = _compile(term.base, S, index)
     e = term.exp
     if isinstance(e, int):
-        return S.power(v, e)
-    if e.k == -1:
-        return omega_minus_one(S, v)
-    acc = omega_power(S, v)
-    for _ in range(e.k):
-        acc = S.table[acc][v]
-    return acc
+        powers, k = range(len(S)), e - 1
+    else:
+        omega, minus_one = S._derive("omega", _omega_tables)
+        powers, k = (minus_one, 0) if e.k == -1 else (omega, e.k)
+    for _ in range(k):
+        powers = [table[p][x] for x, p in enumerate(powers)]
+    return lambda v: powers[base(v)]
 
 
-def _scan_block(args):
-    S, lhs, rhs, variables, first_values, rest = args
-    for first in first_values:
-        for tail in itertools.product(range(len(S)), repeat=rest):
-            assignment = dict(zip(variables, (first,) + tail))
-            if evaluate(lhs, S, assignment) != evaluate(rhs, S, assignment):
-                return (first,) + tail
+def evaluate(term: Term, S: FiniteSemigroup, assignment: Mapping[str, int]) -> int:
+    """The value of `term` in S; UnassignedLetterError if a letter has no value."""
+    index = {ch: i for i, ch in enumerate(assignment)}
+    return _compile(term, S, index)(tuple(assignment.values()))
+
+
+def _first_failure(S: FiniteSemigroup, lhs: Term, rhs: Term, related):
+    """The lexicographically first assignment (letters sorted, values in
+    index order) with related(lhs, rhs) false, or None."""
+    lhs, rhs = _as_term(lhs), _as_term(rhs)
+    variables = sorted(letters_of(lhs) | letters_of(rhs))
+    index = {ch: i for i, ch in enumerate(variables)}
+    f, g = _compile(lhs, S, index), _compile(rhs, S, index)
+    for values in itertools.product(range(len(S)), repeat=len(variables)):
+        if not related(f(values), g(values)):
+            return dict(zip(variables, values))
     return None
 
 
 def satisfies_identity(
-    S: FiniteSemigroup, lhs: Term, rhs: Term, jobs: int = 1
+    S: FiniteSemigroup, lhs: Term, rhs: Term
 ) -> tuple[bool, Optional[dict[str, int]]]:
     """Check lhs = rhs under every assignment of letters to elements of S.
 
-    On failure returns the lexicographically first witness assignment
-    (letters sorted, values in index order), also when the scan is split
-    across worker processes. At most min(jobs, |S|, CPU count) workers start.
+    On failure returns the lexicographically first witness assignment.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if isinstance(lhs, str):
-        lhs = parse_term(lhs)
-    if isinstance(rhs, str):
-        rhs = parse_term(rhs)
-    variables = sorted(letters_of(lhs) | letters_of(rhs))
-    n = len(S)
-    rest = len(variables) - 1
-    workers = min(jobs, n, os.cpu_count() or 1)
-    if workers > 1:
-        chunks = [range(i, n, workers) for i in range(workers)]
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            hits = pool.map(_scan_block, [(S, lhs, rhs, variables, c, rest) for c in chunks])
-        hits = [h for h in hits if h is not None]
-        if not hits:
-            return True, None
-        best = min(hits)
-        return False, dict(zip(variables, best))
-    hit = _scan_block((S, lhs, rhs, variables, range(n), rest))
-    if hit is None:
-        return True, None
-    return False, dict(zip(variables, hit))
+    witness = _first_failure(S, lhs, rhs, operator.eq)
+    return witness is None, witness
 
 
 def satisfies_inequality(
-    ordered_semigroup, lhs: Term, rhs: Term, jobs: int = 1
+    ordered_semigroup, lhs: Term, rhs: Term
 ) -> tuple[bool, Optional[dict[str, int]]]:
     """Check lhs <= rhs for every assignment, over a stable partial order."""
-    if isinstance(lhs, str):
-        lhs = parse_term(lhs)
-    if isinstance(rhs, str):
-        rhs = parse_term(rhs)
-    S = ordered_semigroup.semigroup
     leq = ordered_semigroup.leq
-    variables = sorted(letters_of(lhs) | letters_of(rhs))
-    for values in itertools.product(range(len(S)), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        if (evaluate(lhs, S, assignment), evaluate(rhs, S, assignment)) not in leq:
-            return False, assignment
-    return True, None
+    witness = _first_failure(ordered_semigroup.semigroup, lhs, rhs, lambda a, b: (a, b) in leq)
+    return witness is None, witness
 
 
 # --- the identity registry ----------------------------------------------------
@@ -409,14 +399,14 @@ def pseudovariety_basis(name: str) -> list[tuple[Term, Term]]:
     raise UnknownPseudovarietyError(f"unknown pseudovariety {name!r}")
 
 
-def pseudovariety_membership(S: FiniteSemigroup, name: str, jobs: int = 1):
+def pseudovariety_membership(S: FiniteSemigroup, name: str):
     """Does S satisfy every identity in the named basis?
 
     Returns (bool, failing) where failing is None or a dict with the failing
     identity and the witness assignment.
     """
     for lhs, rhs in pseudovariety_basis(name):
-        holds, witness = satisfies_identity(S, lhs, rhs, jobs=jobs)
+        holds, witness = satisfies_identity(S, lhs, rhs)
         if not holds:
             return False, {
                 "lhs": term_to_text(lhs),
@@ -445,8 +435,7 @@ def unfold(term: Term, omega_reps: int) -> Word:
 
 def term_i_t(term: Term, n: int) -> tuple[Word, Word]:
     """(i_n, t_n) of the term, via a sufficiently deep unfolding."""
-    if isinstance(term, str):
-        term = parse_term(term)
+    term = _as_term(term)
     if n < 1:
         raise ValueError("n must be >= 1")
     w = unfold(term, n + 2)
@@ -528,8 +517,7 @@ def debruijn_encode_term(term: Term, n: int) -> Term:
     unfolding is no longer than n have an empty encoding and raise
     TermTooShortError.
     """
-    if isinstance(term, str):
-        term = parse_term(term)
+    term = _as_term(term)
     if n < 1:
         raise ValueError("n must be >= 1")
     phi, _ = _encode((), term, n)
@@ -543,22 +531,19 @@ class VdnResult(NamedTuple):
     encoded_identity_holds: bool
 
 
-def check_vdn(u: Term, v: Term, n: int, T: FiniteSemigroup, jobs: int = 1) -> VdnResult:
+def check_vdn(u: Term, v: Term, n: int, T: FiniteSemigroup) -> VdnResult:
     """The two finite conditions of the V*D_n word-problem criterion.
 
     i_t_equal: i_n and t_n of the two terms agree. encoded_identity_holds:
     T satisfies Phi_n(u) = Phi_n(v) over the occurring gram letters. A False
     second slot witnesses u != v over V*D_n for every V containing T.
     """
-    if isinstance(u, str):
-        u = parse_term(u)
-    if isinstance(v, str):
-        v = parse_term(v)
+    u, v = _as_term(u), _as_term(v)
     iu, tu = term_i_t(u, n)
     iv, tv = term_i_t(v, n)
     pu = debruijn_encode_term(u, n)
     pv = debruijn_encode_term(v, n)
-    holds, _ = satisfies_identity(T, pu, pv, jobs=jobs)
+    holds, _ = satisfies_identity(T, pu, pv)
     return VdnResult(iu.letters == iv.letters and tu.letters == tv.letters, holds)
 
 
@@ -603,15 +588,11 @@ class GroupSpec:
         raise ValueError(f"cannot parse group spec {text!r}")
 
 
-_crh_memo: dict = {}
-
-
-def _crh_key(letters: tuple[str, ...], h: GroupSpec):
+def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
     """Canonical class key: two words are equal over CR meet H-bar exactly
-    when their keys coincide."""
-    memo_key = (letters, h)
-    if memo_key in _crh_memo:
-        return _crh_memo[memo_key]
+    when their keys coincide. `memo` maps letters to keys within one call."""
+    if letters in memo:
+        return memo[letters]
     if not letters:
         result = ("eps",)
     else:
@@ -627,10 +608,10 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec):
                 result = ("pow", a, j)
         else:
             w = Word(letters)
-            zero_key = _crh_key(left_basic_factorization(w).prefix.letters, h)
-            one_key = _crh_key(right_basic_factorization(w).remainder.letters, h)
+            zero_key = _crh_key(left_basic_factorization(w).prefix.letters, h, memo)
+            one_key = _crh_key(right_basic_factorization(w).remainder.letters, h, memo)
             ids = tuple(
-                _crh_key(factor.letters, h)
+                _crh_key(factor.letters, h, memo)
                 for factor, _, _ in characteristic_sequence(w)
             )
             if h.kind == "trivial":
@@ -643,7 +624,7 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec):
             else:
                 chi_part = ids
             result = ("word", c, zero_key, one_key, chi_part)
-    _crh_memo[memo_key] = result
+    memo[letters] = result
     return result
 
 
@@ -659,19 +640,20 @@ def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
         raise EmptyWordError("the word problem needs nonempty words")
     if content(u) != content(v):
         return False, "content"
-    if _crh_key(left_basic_factorization(u).prefix.letters, h) != _crh_key(
-        left_basic_factorization(v).prefix.letters, h
+    memo: dict = {}
+    if _crh_key(left_basic_factorization(u).prefix.letters, h, memo) != _crh_key(
+        left_basic_factorization(v).prefix.letters, h, memo
     ):
         return False, "zero"
-    if _crh_key(right_basic_factorization(u).remainder.letters, h) != _crh_key(
-        right_basic_factorization(v).remainder.letters, h
+    if _crh_key(right_basic_factorization(u).remainder.letters, h, memo) != _crh_key(
+        right_basic_factorization(v).remainder.letters, h, memo
     ):
         return False, "one"
-    if _crh_key(u.letters, h) != _crh_key(v.letters, h):
+    if _crh_key(u.letters, h, memo) != _crh_key(v.letters, h, memo):
         return False, "h"
     return True, None
 
 
 def crh_class_key(u, h: GroupSpec):
     """The canonical key of a word; equal keys mean equal over CR meet H-bar."""
-    return _crh_key(coerce(u).letters, h)
+    return _crh_key(coerce(u).letters, h, {})

@@ -160,6 +160,42 @@ def test_check_vdn(tmp_path, capsys, z2):
     assert code == 0
 
 
+def test_check_vdn_needs_in(capsys):
+    code, out, err = run(capsys, ["check", "vdn", "ab", "ab", "--n", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--in" in err
+
+
+@pytest.mark.parametrize(
+    "term, pos",
+    [("(" * 400 + "x" + ")" * 400, 100), ("x" + "^2" * 2000, 201)],
+    ids=["parentheses", "stacked-powers"],
+)
+def test_deeply_nested_terms_are_rejected(tmp_path, capsys, z2, term, pos):
+    path = write_semigroup(tmp_path, "z2.json", z2)
+    code, out, err = run(capsys, ["check", "id", path, term, "x"])
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "nested deeper" in err and f"position {pos}" in err
+
+
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"elements": ["a"], "table": None}, "table"),
+        ({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "generators": {"x": "1"}}, "generators['x']"),
+        ({"elements": ["a", "b"], "table": [[0, 0.9], [1.7, 1]]}, "table[0][1]"),
+        ({"elements": ["a", "b"], "table": [[0, 0], [True, 1]]}, "table[1][0]"),
+    ],
+    ids=["null-table", "string-generator", "float-entry", "bool-entry"],
+)
+def test_semigroup_json_is_strict(tmp_path, capsys, doc, path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["classify", str(p)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} must be ") and err.count("\n") == 1
+
+
 def test_words_commands(capsys):
     code, out, _ = run(capsys, ["words", "debruijn", "1", "aba"])
     assert code == 0 and out.strip() == "ab.ba"

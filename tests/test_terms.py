@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from eggbox.terms import (
     parse_term,
     term_to_text,
 )
-from conftest import small_library
+from conftest import random_transformation_semigroup, small_library
 
 
 def test_parse_basic():
@@ -88,63 +89,95 @@ def test_satisfies_identity_lex_first_witness(z3):
     assert witness == expected
 
 
-def test_satisfies_identity_parallel_matches(z3, k2):
-    for S, lhs, rhs in [(z3, "xy", "yx x"), (k2, "xy", "yx"), (k2, "x(yx)^w", "x")]:
-        assert terms.satisfies_identity(S, lhs, rhs) == terms.satisfies_identity(
-            S, lhs, rhs, jobs=2
-        )
+# --- the compiled scan against the recursive interpreter it replaced ----------
+
+def oracle_evaluate(term, S, assignment):
+    if isinstance(term, Letter):
+        if term.ch not in assignment:
+            raise UnassignedLetterError(f"letter {term.ch!r} is unassigned")
+        return assignment[term.ch]
+    if isinstance(term, Concat):
+        acc = oracle_evaluate(term.parts[0], S, assignment)
+        for p in term.parts[1:]:
+            acc = S.table[acc][oracle_evaluate(p, S, assignment)]
+        return acc
+    v = oracle_evaluate(term.base, S, assignment)
+    e = term.exp
+    if isinstance(e, int):
+        return S.power(v, e)
+    if e.k == -1:
+        return core.omega_minus_one(S, v)
+    acc = core.omega_power(S, v)
+    for _ in range(e.k):
+        acc = S.table[acc][v]
+    return acc
 
 
-class RecordingContext:
-    """Stands in for a multiprocessing context: records each pool's worker
-    count and maps serially in this process, so no worker is started."""
-
-    def __init__(self):
-        self.workers = []
-
-    def Pool(self, processes):
-        self.workers.append(processes)
-        return SerialPool()
+def oracle_first_failure(S, lhs, rhs, related):
+    """The brute-force scan: every assignment in lexicographic order."""
+    variables = sorted(terms.letters_of(lhs) | terms.letters_of(rhs))
+    for values in itertools.product(range(len(S)), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if not related(oracle_evaluate(lhs, S, assignment), oracle_evaluate(rhs, S, assignment)):
+            return False, assignment
+    return True, None
 
 
-class SerialPool:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
-@pytest.mark.parametrize(
-    "jobs, cpus, size, expected",
-    [
-        (64, 8, 3, [3]),  # capped by |S|
-        (64, 4, 8, [4]),  # capped by the CPU count
-        (2, 8, 8, [2]),
-        (64, None, 8, []),  # unknown CPU count: serial
-        (1, 8, 8, []),
-        (64, 8, 1, []),
-    ],
-)
-def test_satisfies_identity_caps_workers(monkeypatch, jobs, cpus, size, expected):
-    ctx = RecordingContext()
-    monkeypatch.setattr(terms.multiprocessing, "get_context", lambda method: ctx)
-    monkeypatch.setattr(terms.os, "cpu_count", lambda: cpus)
-    S = core.cyclic_group(size)
-    for lhs, rhs in [("xy", "yx x"), ("xy", "yx"), ("x^2 y", "y x^2")]:
-        assert terms.satisfies_identity(S, lhs, rhs, jobs=jobs) == terms.satisfies_identity(
-            S, lhs, rhs
-        )
-    assert ctx.workers == expected * 3
+def random_term(rng, depth=3):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Letter(rng.choice("xyz"))
+    if roll < 0.6:
+        return terms.concat([random_term(rng, depth - 1) for _ in range(rng.randint(2, 3))])
+    exp = rng.choice([rng.randint(1, 4), OmegaExp(0), OmegaExp(-1), OmegaExp(rng.randint(1, 3))])
+    return Power(random_term(rng, depth - 1), exp)
 
 
-@pytest.mark.parametrize("jobs", [0, -3])
-def test_satisfies_identity_rejects_jobs_below_one(z3, jobs):
-    with pytest.raises(ValueError, match="jobs"):
-        terms.satisfies_identity(z3, "xy", "yx", jobs=jobs)
+def differential_cases():
+    rng = random.Random(2015)
+    cases = list(small_library().values())
+    cases += [random_transformation_semigroup(rng, max_size=12) for _ in range(30)]
+    for S in cases:
+        pairs = [(random_term(rng), random_term(rng)) for _ in range(3)]
+        t = random_term(rng)
+        pairs.append((t, t))
+        yield rng, S, pairs
+
+
+def test_evaluate_matches_interpreter():
+    for rng, S, pairs in differential_cases():
+        for t in [t for pair in pairs for t in pair]:
+            for _ in range(5):
+                asg = {ch: rng.randrange(len(S)) for ch in "xyz"}
+                assert terms.evaluate(t, S, asg) == oracle_evaluate(t, S, asg), term_to_text(t)
+            missing = {ch: 0 for ch in sorted(terms.letters_of(t))[1:]}
+            with pytest.raises(UnassignedLetterError):
+                terms.evaluate(t, S, missing)
+
+
+def test_satisfies_identity_matches_brute_force():
+    names = ["B", "CR", "CS", "DA", "J", "LI", "N", "ReG"]
+    registry = [pair for name in names for pair in terms.pseudovariety_basis(name)]
+    for _, S, pairs in differential_cases():
+        for lhs, rhs in pairs + registry:
+            want = oracle_first_failure(S, lhs, rhs, lambda a, b: a == b)
+            assert terms.satisfies_identity(S, lhs, rhs) == want, (term_to_text(lhs), term_to_text(rhs))
+
+
+def test_satisfies_inequality_matches_brute_force():
+    from eggbox import order
+
+    fixed = [(parse_term("xy"), parse_term("x")), (parse_term("x^w"), parse_term("x"))]
+    checked = 0
+    for _, S, pairs in differential_cases():
+        if len(S) > 8:
+            continue
+        for os_ in order.enumerate_stable_orders(S, limit=3):
+            for lhs, rhs in pairs + fixed:
+                want = oracle_first_failure(S, lhs, rhs, lambda a, b: (a, b) in os_.leq)
+                assert terms.satisfies_inequality(os_, lhs, rhs) == want
+                checked += 1
+    assert checked > 100
 
 
 def test_satisfies_inequality(u1):
@@ -467,3 +500,86 @@ def test_free_object_for_ab2_on_two_generators():
 def test_single_letter_free_object_mod_3():
     reps = crh_closure("a", GroupSpec.abelian(3))
     assert len(reps) == 3
+
+
+def test_parse_rejects_deep_nesting(z2):
+    # 100 levels parse, print and evaluate; past that the parser stops
+    assert parse_term("(" * 100 + "x" + ")" * 100) == Letter("x")
+    for text in ["x" + "^2" * 100, "(" * 100 + "x" + ")^2" * 100, "(x" * 99 + "x" + ")" * 99]:
+        t = parse_term(text)
+        assert parse_term(term_to_text(t)) == t
+        assert terms.satisfies_identity(z2, t, t) == (True, None)
+    for text, pos in [("(" * 400 + "x" + ")" * 400, 100), ("x" + "^2" * 2000, 201)]:
+        with pytest.raises(TermSyntaxError, match="nested deeper") as exc:
+            parse_term(text)
+        assert exc.value.pos == pos
+    # concatenations and powers add up along a path
+    text = "x"
+    for _ in range(60):
+        text = f"({text} y)^2"
+    with pytest.raises(TermSyntaxError, match="nested deeper"):
+        parse_term(text)
+
+
+oracle_crh_memo: dict = {}
+
+
+def oracle_crh_key(letters, h):
+    """The key with its process-global memo, as before the memo became per call."""
+    memo_key = (letters, h)
+    if memo_key in oracle_crh_memo:
+        return oracle_crh_memo[memo_key]
+    if not letters:
+        result = ("eps",)
+    else:
+        c = frozenset(letters)
+        if len(c) == 1:
+            a = letters[0]
+            j = len(letters)
+            if h.kind == "trivial":
+                result = ("pow", a)
+            elif h.kind == "abelian":
+                result = ("pow", a, j % h.n)
+            else:
+                result = ("pow", a, j)
+        else:
+            w = words.Word(letters)
+            zero_key = oracle_crh_key(words.left_basic_factorization(w).prefix.letters, h)
+            one_key = oracle_crh_key(words.right_basic_factorization(w).remainder.letters, h)
+            ids = tuple(
+                oracle_crh_key(factor.letters, h)
+                for factor, _, _ in words.characteristic_sequence(w)
+            )
+            if h.kind == "trivial":
+                chi_part = None
+            elif h.kind == "abelian":
+                counts = Counter(ids)
+                chi_part = frozenset(
+                    (i, cnt % h.n) for i, cnt in counts.items() if cnt % h.n != 0
+                )
+            else:
+                chi_part = ids
+            result = ("word", c, zero_key, one_key, chi_part)
+    oracle_crh_memo[memo_key] = result
+    return result
+
+
+def test_crh_keys_need_no_global_memo():
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(terms).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    rng = random.Random(12)
+    specs = [GroupSpec.trivial(), GroupSpec.abelian(2), GroupSpec.abelian(3), GroupSpec.all_groups()]
+    ws = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 9))) for _ in range(60)]
+    for h in specs:
+        for u in ws:
+            assert terms.crh_class_key(u, h) == oracle_crh_key(tuple(u), h)
+        for u, v in zip(ws, ws[1:]):
+            assert equal_in_crh(u, v, h)[0] == (oracle_crh_key(tuple(u), h) == oracle_crh_key(tuple(v), h))
+    assert not hasattr(terms, "_crh_memo")
+    assert sizes() == before
