@@ -110,7 +110,7 @@ def cmd_construct(args) -> int:
     elif args.what == "rees":
         group = _group_from_text(args.group)
         if args.sandwich:
-            sandwich = json.loads(args.sandwich)
+            sandwich = green.sandwich_from_json(json.loads(args.sandwich))
         else:
             e = group.identity
             sandwich = [[e] * args.a for _ in range(args.b)]
@@ -300,6 +300,16 @@ def cmd_orders(args) -> int:
 
 # --- wiring ----------------------------------------------------------------------
 
+# Positional arguments each subcommand of construct, check and words takes.
+_ARITY = {
+    "construct": {"kp": 1, "rees": 0, "synthesis": 3, "semidirect": 3, "product": 2, "adjoin": 1},
+    "check": {"id": 3, "ineq": 3, "pv": 2, "crh": 2, "vdn": 2},
+    "words": {
+        "content": 1, "lbf": 1, "rbf": 1, "zero": 1, "one": 1, "chi": 1,
+        "debruijn": 2, "stretch": 2, "connect": 3, "subword": 2,
+    },
+}
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="eggbox", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("construct", help="emit semigroup JSON for a construction")
-    p.add_argument("what", choices=("kp", "rees", "synthesis", "semidirect", "product", "adjoin"))
+    p.add_argument("what", choices=tuple(_ARITY["construct"]))
     p.add_argument("args", nargs="*")
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
@@ -322,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("check", help="identity / inequality / membership / word problems")
-    p.add_argument("what", choices=("id", "ineq", "pv", "crh", "vdn"))
+    p.add_argument("what", choices=tuple(_ARITY["check"]))
     p.add_argument("args", nargs="*")
     p.add_argument("--h", default="trivial", help="crh: trivial | ab:<n> | groups")
     p.add_argument("--n", type=int, default=1, help="vdn: the D_n depth")
@@ -330,10 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("words", help="word combinatorics")
-    p.add_argument(
-        "what",
-        choices=("content", "lbf", "rbf", "zero", "one", "chi", "debruijn", "stretch", "connect", "subword"),
-    )
+    p.add_argument("what", choices=tuple(_ARITY["words"]))
     p.add_argument("args", nargs="*")
     p.add_argument("--avoid", help="stretch: comma-separated words to avoid")
     p.set_defaults(func=cmd_words)
@@ -371,6 +378,12 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    if args.command in _ARITY:
+        want, got = _ARITY[args.command][args.what], len(args.args)
+        if got != want:
+            noun = "argument" if want == 1 else "arguments"
+            print(f"error: {args.command} {args.what} takes {want} {noun}, got {got}", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except (ValueError, KeyError) as exc:

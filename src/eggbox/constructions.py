@@ -70,6 +70,8 @@ def rees_matrix(
     triples. The result is completely simple by construction, so no
     associativity rescan is performed.
     """
+    if a_size < 1 or b_size < 1:
+        raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
     _require_group(group)
     ng = len(group)
     P = tuple(tuple(int(v) for v in row) for row in sandwich)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 
@@ -132,9 +133,10 @@ def validate(
 ) -> FiniteSemigroup:
     """Check a raw table and build a FiniteSemigroup.
 
-    Associativity is verified by the full O(n^3) scan; the first failing
-    triple (i,j,k) is reported. If generators are given, their closure must
-    be the whole carrier.
+    Associativity is verified by Light's test over a small generating set A,
+    O(|A|·n^2); only a failing table gets the full O(n^3) scan, which reports
+    the lexicographically first failing triple (i,j,k). If generators are
+    given, their closure must be the whole carrier.
     """
     elems = tuple(str(e) for e in elements)
     n = len(elems)
@@ -142,22 +144,14 @@ def validate(
         raise SemigroupError("empty carrier")
     if len(set(elems)) != n:
         raise SemigroupError("duplicate element labels")
-    tab = tuple(tuple(int(v) for v in row) for row in table)
+    tab = tuple(tuple(map(int, row)) for row in table)
     if len(tab) != n or any(len(row) != n for row in tab):
         raise SemigroupError(f"table must be {n}x{n}")
-    for i in range(n):
-        for j in range(n):
-            if not 0 <= tab[i][j] < n:
-                raise OutOfRangeError(f"table[{i}][{j}] = {tab[i][j]} not in 0..{n - 1}")
-    for i in range(n):
-        row_i = tab[i]
-        for j in range(n):
-            t_ij = row_i[j]
-            row_ij = tab[t_ij]
-            row_j = tab[j]
-            for k in range(n):
-                if row_ij[k] != row_i[row_j[k]]:
-                    raise NonAssociativeError(i, j, k)
+    for i, row in enumerate(tab):
+        if min(row) < 0 or max(row) >= n:
+            j = next(j for j, v in enumerate(row) if not 0 <= v < n)
+            raise OutOfRangeError(f"table[{i}][{j}] = {row[j]} not in 0..{n - 1}")
+    _check_associative(tab)
     gens = dict(generators) if generators is not None else None
     semi = FiniteSemigroup(elems, tab, gens, _find_identity(tab))
     if gens is not None:
@@ -169,22 +163,75 @@ def validate(
     return semi
 
 
+def _check_associative(tab: tuple[tuple[int, ...], ...]) -> None:
+    """Raise NonAssociativeError at the first triple with (ij)k != i(jk).
+
+    Light's test: the set of a with (xa)y = x(ay) for all x, y is closed
+    under products, since for two such a, b
+    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
+    So it is the whole carrier as soon as it contains a set A that generates
+    the table as a magma, and only a in A is checked, one row (xa)S = x(aS)
+    at a time. On a failure the full scan, also one row at a time, names the
+    lexicographically first triple.
+    """
+    n = len(tab)
+    if n == 1:
+        return  # the one in-range 1x1 table is associative
+    for a in _generating_set(tab):
+        times_a = itemgetter(*tab[a])  # times_a(row_x) = x(aS)
+        if any(tab[row_x[a]] != times_a(row_x) for row_x in tab):
+            break
+    else:
+        return
+    times = [itemgetter(*row) for row in tab]  # times[j](row_i) = i(jS)
+    for i, row_i in enumerate(tab):
+        for j, ij in enumerate(row_i):
+            if tab[ij] != times[j](row_i):
+                row_ij, row_j = tab[ij], tab[j]
+                k = next(k for k in range(n) if row_ij[k] != row_i[row_j[k]])
+                raise NonAssociativeError(i, j, k)
+
+
+def _closure(table, candidates: Iterable[int]) -> tuple[list[int], set[int]]:
+    """Greedy generators among `candidates`, and the set they generate.
+
+    A candidate not yet generated becomes a generator. The generated set
+    grows along the right Cayley graph: each element is multiplied on the
+    right by each generator once, so the work is O(n·|gens|). Every element
+    reached is a left-bracketed product (..((g1 g2) g3)..) gk of generators,
+    so the generators generate it as a magma whether or not the table is
+    associative; for a semigroup the set is the generated subsemigroup.
+    """
+    gens: list[int] = []
+    found: list[int] = []
+    closed: set[int] = set()
+    for c in candidates:
+        if c in closed:
+            continue
+        gens.append(c)
+        new = {c, *(table[x][c] for x in found)} - closed
+        while new:
+            closed |= new
+            found.extend(new)
+            new = {y for x in new for y in map(table[x].__getitem__, gens)} - closed
+    return gens, closed
+
+
+def _generating_set(table) -> list[int]:
+    """A magma generating set: the greedy closure over candidates in order of
+    descending |xS| + |Sx| (ties by index), so elements that reach much of
+    the table come first."""
+    reach = [len(set(row)) + len(set(col)) for row, col in zip(table, zip(*table))]
+    order = sorted(range(len(table)), key=lambda x: -reach[x])
+    return _closure(table, order)[0]
+
+
 def generated_subsemigroup(S: FiniteSemigroup, subset: Iterable[int]) -> frozenset[int]:
     """Least subset of S closed under the table and containing `subset`."""
-    closed = set(subset)
-    if not closed:
+    seeds = list(subset)
+    if not seeds:
         raise SemigroupError("subset must be nonempty")
-    frontier = list(closed)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in list(closed):
-                for z in (S.table[x][y], S.table[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        new.append(z)
-        frontier = new
-    return frozenset(closed)
+    return frozenset(_closure(S.table, seeds)[1])
 
 
 def subsemigroup(S: FiniteSemigroup, indices: Iterable[int]) -> FiniteSemigroup:
@@ -333,15 +380,10 @@ def _compress(sig: list) -> list[int]:
 
 
 def small_generating_set(S: FiniteSemigroup) -> list[int]:
-    """A reasonably small generating set, deterministic for a given table."""
+    """A small generating set, deterministic for a given table: the greedy
+    set that validation uses, less each generator the others make redundant."""
     n = len(S)
-    products = {S.table[i][j] for i in range(n) for j in range(n)}
-    gens = sorted(x for x in range(n) if x not in products)
-    closed = set(generated_subsemigroup(S, gens)) if gens else set()
-    for x in range(n):
-        if x not in closed:
-            gens.append(x)
-            closed = set(generated_subsemigroup(S, gens))
+    gens = _generating_set(S.table)
     for g in list(gens):
         rest = [h for h in gens if h != g]
         if rest and generated_subsemigroup(S, rest) == frozenset(range(n)):
@@ -503,7 +545,8 @@ def from_dict(obj: Mapping) -> FiniteSemigroup:
     _require_list(elements, "elements", lambda e: isinstance(e, str), "a string")
     _require_list(table, "table", lambda row: isinstance(row, list), "a list of integers")
     for i, row in enumerate(table):
-        _require_list(row, f"table[{i}]", _is_int, "an integer")
+        if set(map(type, row)) != {int}:  # slow path only to name the entry
+            _require_list(row, f"table[{i}]", _is_int, "an integer")
     if gens is not None:
         if not isinstance(gens, dict):
             raise SemigroupError("generators must be an object")

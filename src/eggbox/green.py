@@ -15,6 +15,8 @@ from .core import (
     adjoin_identity,
     omega_minus_one,
     subsemigroup,
+    _is_int,
+    _require_list,
     from_dict as semigroup_from_dict,
     to_dict as semigroup_to_dict,
 )
@@ -270,9 +272,25 @@ def rees_to_dict(rm: ReesMatrixSemigroup) -> dict:
 
 
 def rees_from_dict(obj: Mapping) -> ReesMatrixSemigroup:
+    """Rees matrix semigroup from its JSON object: 'a' and 'b' positive
+    integers, 'group' a semigroup object, 'sandwich' a list of lists of
+    integers. Errors name the offending path, e.g. sandwich[0][1]."""
+    if not isinstance(obj, Mapping):
+        raise SemigroupError("Rees JSON must be an object")
     for key in ("a", "b", "group", "sandwich"):
         if key not in obj:
             raise SemigroupError(f"Rees JSON needs {key!r}")
+    for key in ("a", "b"):
+        if not _is_int(obj[key]) or obj[key] < 1:
+            raise SemigroupError(f"{key} must be a positive integer, got {obj[key]!r}")
     group = semigroup_from_dict(obj["group"])
-    sandwich = tuple(tuple(int(v) for v in row) for row in obj["sandwich"])
-    return ReesMatrixSemigroup(int(obj["a"]), int(obj["b"]), group, sandwich)
+    return ReesMatrixSemigroup(obj["a"], obj["b"], group, sandwich_from_json(obj["sandwich"]))
+
+
+def sandwich_from_json(value) -> tuple[tuple[int, ...], ...]:
+    """A sandwich matrix from JSON data: a list of lists of integers (bool and
+    float rejected), errors naming the entry, e.g. sandwich[0][1]."""
+    _require_list(value, "sandwich", lambda row: isinstance(row, list), "a list of integers")
+    for i, row in enumerate(value):
+        _require_list(row, f"sandwich[{i}]", _is_int, "an integer")
+    return tuple(map(tuple, value))

@@ -136,7 +136,10 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
 
     Left translations are (a,g,b) -> (phi(a), mu(a)g, b) and right
     translations (a,g,b) -> (a, g nu(b), psi(b)); a pair is linked exactly
-    when nu(b) P(psi(b), a) = P(b, phi(a)) mu(a) for all a, b.
+    when nu(b) P(psi(b), a) = P(b, phi(a)) mu(a) for all a, b. The equation
+    for one b involves only psi(b) and nu(b), so the rights linked to a left
+    are the product over b of the values (psi(b), nu(b)) whose row
+    (nu(b) P(psi(b), a))_a equals (P(b, phi(a)) mu(a))_a.
     """
     A, B, G, P = rm.a_size, rm.b_size, rm.group, rm.sandwich
     ng = len(G)
@@ -146,16 +149,7 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
     def idx(a: int, g: int, b: int) -> int:
         return (a * ng + g) * B + b
 
-    lefts = []
-    for phi in itertools.product(range(A), repeat=A):
-        for mu in itertools.product(range(ng), repeat=A):
-            lam = [0] * n
-            for a in range(A):
-                for g in range(ng):
-                    for b in range(B):
-                        lam[idx(a, g, b)] = idx(phi[a], G.table[mu[a]][g], b)
-            lefts.append((phi, mu, tuple(lam)))
-    rights = []
+    rights = {}
     for psi in itertools.product(range(B), repeat=B):
         for nu in itertools.product(range(ng), repeat=B):
             rho = [0] * n
@@ -163,17 +157,31 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
                 for g in range(ng):
                     for b in range(B):
                         rho[idx(a, g, b)] = idx(a, G.table[g][nu[b]], psi[b])
-            rights.append((psi, nu, tuple(rho)))
+            rights[psi, nu] = tuple(rho)
+    links: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for p in range(B):
+        for v in range(ng):
+            row = tuple(G.table[v][P[p][a]] for a in range(A))
+            links.setdefault(row, []).append((p, v))
 
     out = set()
-    for phi, mu, lam in lefts:
-        for psi, nu, rho in rights:
-            if all(
-                G.table[nu[b]][P[psi[b]][a]] == G.table[P[b][phi[a]]][mu[a]]
-                for a in range(A)
+    for phi in itertools.product(range(A), repeat=A):
+        for mu in itertools.product(range(ng), repeat=A):
+            options = [
+                links.get(tuple(G.table[P[b][phi[a]]][mu[a]] for a in range(A)), ())
                 for b in range(B)
-            ):
-                out.add(Bitranslation(lam, rho))
+            ]
+            if not all(options):
+                continue
+            lam = [0] * n
+            for a in range(A):
+                for g in range(ng):
+                    for b in range(B):
+                        lam[idx(a, g, b)] = idx(phi[a], G.table[mu[a]][g], b)
+            lam = tuple(lam)
+            for choice in itertools.product(*options):
+                psi, nu = zip(*choice)
+                out.add(Bitranslation(lam, rights[psi, nu]))
     return frozenset(out)
 
 

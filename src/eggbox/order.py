@@ -13,7 +13,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Optional
 
-from .core import BoundExceededError, FiniteSemigroup, SemigroupError, UnknownLetterError
+from .core import (
+    BoundExceededError,
+    FiniteSemigroup,
+    SemigroupError,
+    UnknownLetterError,
+    _require_list,
+)
 from .hull import classify
 
 
@@ -411,9 +417,17 @@ def dfa_to_dict(d: Dfa) -> dict:
 
 
 def dfa_from_dict(obj: Mapping) -> Dfa:
+    """DFA from its JSON object: 'states', 'alphabet' and 'accepting' lists
+    of strings, 'transitions' an object from "state,letter" to a state."""
+    if not isinstance(obj, Mapping):
+        raise SemigroupError("DFA JSON must be an object")
     for key in ("states", "alphabet", "transitions", "initial", "accepting"):
         if key not in obj:
             raise SemigroupError(f"DFA JSON needs {key!r}")
+    for key in ("states", "alphabet", "accepting"):
+        _require_list(obj[key], key, lambda v: isinstance(v, str), "a string")
+    if not isinstance(obj["transitions"], Mapping):
+        raise SemigroupError("transitions must be an object")
     trans = {}
     for key, q2 in obj["transitions"].items():
         if "," not in key:

@@ -196,6 +196,75 @@ def test_semigroup_json_is_strict(tmp_path, capsys, doc, path):
     assert err.startswith(f"error: {path} must be ") and err.count("\n") == 1
 
 
+REES_OK = {
+    "a": 2,
+    "b": 2,
+    "group": {"elements": ["0", "1"], "table": [[0, 1], [1, 0]]},
+    "sandwich": [[0, 0], [0, 1]],
+}
+DFA_OK = {
+    "states": ["p", "q"],
+    "alphabet": ["a"],
+    "transitions": {"p,a": "q", "q,a": "p"},
+    "initial": "p",
+    "accepting": ["p"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("hull", dict(REES_OK, sandwich=[[0, True], [0, 1]]), "sandwich[0][1] must be an integer"),
+        ("hull", dict(REES_OK, sandwich=[[0, 0], [0.5, 1]]), "sandwich[1][0] must be an integer"),
+        ("hull", dict(REES_OK, sandwich=[0, 0]), "sandwich[0] must be a list of integers"),
+        ("hull", dict(REES_OK, a=True), "a must be a positive integer"),
+        ("hull", dict(REES_OK, b=0), "b must be a positive integer"),
+        ("hull", dict(REES_OK, a="2"), "a must be a positive integer"),
+        ("hull", [REES_OK], "Rees JSON must be an object"),
+        ("syntactic", dict(DFA_OK, accepting="pq"), "accepting must be a list"),
+        ("syntactic", dict(DFA_OK, states=["p", 1]), "states[1] must be a string"),
+        ("syntactic", dict(DFA_OK, alphabet="a"), "alphabet must be a list"),
+        ("syntactic", dict(DFA_OK, transitions=[["p,a", "q"]]), "transitions must be an object"),
+    ],
+    ids=[
+        "bool-sandwich", "float-sandwich", "flat-sandwich", "bool-a", "zero-b", "string-a",
+        "rees-list", "string-accepting", "int-state", "string-alphabet", "list-transitions",
+    ],
+)
+def test_rees_and_dfa_json_are_strict(tmp_path, capsys, command, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    argv = ["hull", str(p), "--rees"] if command == "hull" else ["syntactic", str(p)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["words", "connect", "ab", "c"], "words connect takes 3 arguments, got 2"),
+        (["words", "content"], "words content takes 1 argument, got 0"),
+        (["words", "subword", "a", "b", "c"], "words subword takes 2 arguments, got 3"),
+        (["construct", "kp"], "construct kp takes 1 argument, got 0"),
+        (["check", "id", "x.json"], "check id takes 3 arguments, got 1"),
+        (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
+        (["construct", "rees", "--b", "0"], "index sets must be nonempty"),
+        (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, 1], [0.7, 1]]"], "sandwich[1][0] must be an integer"),
+        (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, true], [0, 1]]"], "sandwich[0][1] must be an integer"),
+        (["construct", "rees", "--sandwich", "5"], "sandwich must be a list"),
+    ],
+    ids=[
+        "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0",
+        "float-sandwich", "bool-sandwich", "scalar-sandwich",
+    ],
+)
+def test_usage_errors_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_words_commands(capsys):
     code, out, _ = run(capsys, ["words", "debruijn", "1", "aba"])
     assert code == 0 and out.strip() == "ab.ba"

@@ -11,7 +11,7 @@ from eggbox.core import (
     OutOfRangeError,
     SizeMismatchError,
 )
-from conftest import small_library
+from conftest import random_transformation_semigroup, small_library
 
 
 def brute_nonassoc_witness(table):
@@ -171,3 +171,175 @@ def test_json_round_trip(k2):
 
 def test_rectangular_band_is_product_of_zero_semigroups(lz2, rz2, rb22):
     assert core.is_isomorphic(core.direct_product(lz2, rz2), rb22) is not None
+
+
+# --- validation against the full scan it replaced -----------------------------
+
+def old_generated_subsemigroup(S, subset):
+    """generated_subsemigroup as it was before validation used Light's test."""
+    closed = set(subset)
+    if not closed:
+        raise core.SemigroupError("subset must be nonempty")
+    frontier = list(closed)
+    while frontier:
+        new = []
+        for x in frontier:
+            for y in list(closed):
+                for z in (S.table[x][y], S.table[y][x]):
+                    if z not in closed:
+                        closed.add(z)
+                        new.append(z)
+        frontier = new
+    return frozenset(closed)
+
+
+def old_validate(elements, table, generators=None):
+    """validate as it was before Light's test: the full O(n^3) scan."""
+    elems = tuple(str(e) for e in elements)
+    n = len(elems)
+    if n == 0:
+        raise core.SemigroupError("empty carrier")
+    if len(set(elems)) != n:
+        raise core.SemigroupError("duplicate element labels")
+    tab = tuple(tuple(int(v) for v in row) for row in table)
+    if len(tab) != n or any(len(row) != n for row in tab):
+        raise core.SemigroupError(f"table must be {n}x{n}")
+    for i in range(n):
+        for j in range(n):
+            if not 0 <= tab[i][j] < n:
+                raise OutOfRangeError(f"table[{i}][{j}] = {tab[i][j]} not in 0..{n - 1}")
+    for i in range(n):
+        row_i = tab[i]
+        for j in range(n):
+            t_ij = row_i[j]
+            row_ij = tab[t_ij]
+            row_j = tab[j]
+            for k in range(n):
+                if row_ij[k] != row_i[row_j[k]]:
+                    raise NonAssociativeError(i, j, k)
+    gens = dict(generators) if generators is not None else None
+    semi = core.FiniteSemigroup(elems, tab, gens, core._find_identity(tab))
+    if gens is not None:
+        for name, idx in gens.items():
+            if not 0 <= idx < n:
+                raise OutOfRangeError(f"generator {name!r} -> {idx} out of range")
+        if old_generated_subsemigroup(semi, gens.values()) != frozenset(range(n)):
+            raise GeneratorsDoNotGenerateError("generators do not generate the semigroup")
+    return semi
+
+
+def outcome(check, elements, table, generators=None):
+    """What a validator makes of a table: the semigroup's data, or the error."""
+    try:
+        S = check(elements, table, generators)
+    except core.SemigroupError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+    return "ok", S.table, S.identity, S.generators
+
+
+def validation_pool():
+    rng = random.Random(41)
+    pool = [(name, S.table) for name, S in small_library().items()]
+    pool += [
+        (f"random{k}", random_transformation_semigroup(rng).table) for k in range(40)
+    ]
+    return pool
+
+
+def corruptions(table, rng, count):
+    """Copies of `table` with one entry changed to another in-range value."""
+    n = len(table)
+    if n < 2:
+        return
+    for _ in range(count):
+        rows = [list(row) for row in table]
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+        yield rows
+
+
+def magma_closure(table, subset):
+    """Oracle: close `subset` under every product of two members."""
+    closed = set(subset)
+    while True:
+        new = {table[x][y] for x in closed for y in closed} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+def test_validate_accepts_what_the_full_scan_accepts():
+    for name, table in validation_pool():
+        labels = [str(i) for i in range(len(table))]
+        expected = outcome(old_validate, labels, table)
+        assert expected[0] == "ok", name
+        assert outcome(core.validate, labels, table) == expected, name
+
+
+def test_validate_names_the_full_scan_witness_on_corruptions():
+    rng = random.Random(43)
+    failing = 0
+    for name, table in validation_pool():
+        labels = [str(i) for i in range(len(table))]
+        for rows in corruptions(table, rng, 4):
+            expected = outcome(old_validate, labels, rows)
+            failing += expected[0] == "NonAssociativeError"
+            assert outcome(core.validate, labels, rows) == expected, name
+    assert failing > 150
+
+
+def test_validate_matches_full_scan_on_random_magmas():
+    rng = random.Random(47)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        labels = [f"e{i}" for i in range(n)]
+        low, high = (0, n - 1) if rng.random() < 0.8 else (-1, n)
+        rows = [[rng.randint(low, high) for _ in range(n)] for _ in range(n)]
+        gens = None
+        if rng.random() < 0.3:
+            gens = {f"g{k}": rng.randrange(n) for k in range(rng.randint(1, 2))}
+        expected = outcome(old_validate, labels, rows, gens)
+        kinds.add(expected[0])
+        assert outcome(core.validate, labels, rows, gens) == expected, rows
+    assert {"ok", "NonAssociativeError", "OutOfRangeError"} <= kinds
+
+
+def test_generating_set_generates_as_a_magma():
+    rng = random.Random(53)
+    tables = [table for _, table in validation_pool()]
+    tables += [rows for table in tables[:20] for rows in corruptions(table, rng, 2)]
+    tables += [
+        [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        for n in (rng.randint(1, 7) for _ in range(100))
+    ]
+    for table in tables:
+        table = tuple(map(tuple, table))
+        gens = core._generating_set(table)
+        assert len(set(gens)) == len(gens)
+        assert magma_closure(table, gens) == set(range(len(table)))
+
+
+def test_small_generating_set_generates():
+    for name, table in validation_pool():
+        S = core.FiniteSemigroup(tuple(map(str, range(len(table)))), table)
+        gens = core.small_generating_set(S)
+        assert core.generated_subsemigroup(S, gens) == frozenset(range(len(S))), name
+        assert old_generated_subsemigroup(S, gens) == frozenset(range(len(S))), name
+
+
+def test_generated_subsemigroup_matches_old_closure():
+    rng = random.Random(59)
+    for name, table in validation_pool():
+        S = core.FiniteSemigroup(tuple(map(str, range(len(table)))), table)
+        for _ in range(3):
+            subset = rng.sample(range(len(S)), rng.randint(1, min(3, len(S))))
+            assert core.generated_subsemigroup(S, subset) == old_generated_subsemigroup(S, subset), name
+
+
+def test_validate_accepts_a_1024_element_table():
+    # 1024 elements: the full scan would make about 10^9 triple checks
+    t4 = core.full_transformation_monoid(4)
+    big = core.direct_product(core.direct_product(t4, core.u1()), core.u1())
+    S = core.validate(big.elements, big.table)
+    assert S.table == big.table and S.identity == big.identity

@@ -6,7 +6,7 @@ import pytest
 from eggbox import core, green, hull, constructions as cons
 from eggbox.core import BoundExceededError
 from eggbox.green import NotCompletelySimpleError
-from conftest import random_transformation_semigroup, small_library
+from conftest import random_transformation_semigroup, s3_table, small_library
 
 
 def test_inner_bitranslations_are_linked():
@@ -300,6 +300,13 @@ def test_translation_enumeration_matches_full_brute_force():
         core.rectangular_band(2, 2),
         core.adjoin_identity(core.left_zero(2)),
         core.direct_product(core.u1(), core.u1()),
+        core.direct_product(core.u1(), core.cyclic_group(2)),
+        core.adjoin_new_identity(core.cyclic_group(2)),
+        core.adjoin_identity(core.rectangular_band(2, 2)),
+        core.rectangular_band(1, 3),
+        core.left_zero(3),
+        core.null_semigroup(4),
+        core.cyclic_group(5),
     ]
     for S in cases:
         assert set(hull.left_translations(S)) == brute_left_translations(S)
@@ -313,3 +320,62 @@ def test_hull_paths_agree_on_non_square_rees():
         rm = green.ReesMatrixSemigroup(2, 3, core.cyclic_group(2), P)
         S = cons.realize(rm)
         assert hull.enumerate_hull(S, bound=12) == hull.enumerate_hull_rees(rm)
+
+
+def old_enumerate_hull_rees(rm):
+    """enumerate_hull_rees as it was before the per-b split: every left
+    translation paired with every right translation."""
+    A, B, G, P = rm.a_size, rm.b_size, rm.group, rm.sandwich
+    ng = len(G)
+    S = cons.realize(rm)
+    n = len(S)
+
+    def idx(a: int, g: int, b: int) -> int:
+        return (a * ng + g) * B + b
+
+    lefts = []
+    for phi in itertools.product(range(A), repeat=A):
+        for mu in itertools.product(range(ng), repeat=A):
+            lam = [0] * n
+            for a in range(A):
+                for g in range(ng):
+                    for b in range(B):
+                        lam[idx(a, g, b)] = idx(phi[a], G.table[mu[a]][g], b)
+            lefts.append((phi, mu, tuple(lam)))
+    rights = []
+    for psi in itertools.product(range(B), repeat=B):
+        for nu in itertools.product(range(ng), repeat=B):
+            rho = [0] * n
+            for a in range(A):
+                for g in range(ng):
+                    for b in range(B):
+                        rho[idx(a, g, b)] = idx(a, G.table[g][nu[b]], psi[b])
+            rights.append((psi, nu, tuple(rho)))
+
+    out = set()
+    for phi, mu, lam in lefts:
+        for psi, nu, rho in rights:
+            if all(
+                G.table[nu[b]][P[psi[b]][a]] == G.table[P[b][phi[a]]][mu[a]]
+                for a in range(A)
+                for b in range(B)
+            ):
+                out.add(hull.Bitranslation(lam, rho))
+    return frozenset(out)
+
+
+def test_enumerate_hull_rees_matches_all_pairs():
+    rng = random.Random(61)
+    shapes = [
+        (a, b, g)
+        for a in (1, 2, 3)
+        for b in (1, 2, 3)
+        for g in (1, 2, 3, 4)
+        if (a, b, g) != (3, 3, 4)  # the all-pairs oracle takes seconds there
+    ]
+    groups = [(a, b, core.cyclic_group(g)) for a, b, g in shapes]
+    groups += [(a, b, s3_table()) for a in (1, 2) for b in (1, 2)]  # not abelian
+    for a, b, G in groups:
+        P = tuple(tuple(rng.randrange(len(G)) for _ in range(a)) for _ in range(b))
+        rm = green.ReesMatrixSemigroup(a, b, G, P)
+        assert hull.enumerate_hull_rees(rm) == old_enumerate_hull_rees(rm), (a, b, len(G), P)
