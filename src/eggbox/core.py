@@ -3,8 +3,8 @@
 Elements are referenced by index into a fixed ordering; labels are for I/O
 only, so all algebra stays integer-only. Instances are immutable after
 construction and safe to share. Data derived from the table (omega tables,
-Green structure) is computed on first use and kept on the instance, so each
-object is derived once per semigroup.
+Green structure, generating set) is computed on first use and kept on the
+instance, so each object is derived once per semigroup.
 """
 
 from __future__ import annotations
@@ -151,9 +151,11 @@ def validate(
         if min(row) < 0 or max(row) >= n:
             j = next(j for j, v in enumerate(row) if not 0 <= v < n)
             raise OutOfRangeError(f"table[{i}][{j}] = {row[j]} not in 0..{n - 1}")
-    _check_associative(tab)
+    greedy = _generating_set(tab)
+    _check_associative(tab, greedy)
     gens = dict(generators) if generators is not None else None
     semi = FiniteSemigroup(elems, tab, gens, _find_identity(tab))
+    semi._derive("gens", lambda _: greedy)
     if gens is not None:
         for name, idx in gens.items():
             if not 0 <= idx < n:
@@ -163,21 +165,21 @@ def validate(
     return semi
 
 
-def _check_associative(tab: tuple[tuple[int, ...], ...]) -> None:
+def _check_associative(tab: tuple[tuple[int, ...], ...], gens: list[int]) -> None:
     """Raise NonAssociativeError at the first triple with (ij)k != i(jk).
 
     Light's test: the set of a with (xa)y = x(ay) for all x, y is closed
     under products, since for two such a, b
     (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).
-    So it is the whole carrier as soon as it contains a set A that generates
-    the table as a magma, and only a in A is checked, one row (xa)S = x(aS)
-    at a time. On a failure the full scan, also one row at a time, names the
-    lexicographically first triple.
+    So it is the whole carrier as soon as it contains `gens`, a set that
+    generates the table as a magma, and only a in `gens` is checked, one row
+    (xa)S = x(aS) at a time. On a failure the full scan, also one row at a
+    time, names the lexicographically first triple.
     """
     n = len(tab)
     if n == 1:
         return  # the one in-range 1x1 table is associative
-    for a in _generating_set(tab):
+    for a in gens:
         times_a = itemgetter(*tab[a])  # times_a(row_x) = x(aS)
         if any(tab[row_x[a]] != times_a(row_x) for row_x in tab):
             break
@@ -224,6 +226,42 @@ def _generating_set(table) -> list[int]:
     reach = [len(set(row)) + len(set(col)) for row, col in zip(table, zip(*table))]
     order = sorted(range(len(table)), key=lambda x: -reach[x])
     return _closure(table, order)[0]
+
+
+def generating_set(S: FiniteSemigroup) -> list[int]:
+    """The greedy generating set of S (`_generating_set`), computed once per S;
+    `validate` stores the set its associativity test used."""
+    return S._derive("gens", lambda S: _generating_set(S.table))
+
+
+def _extend_on_generators(table, gens, values, target, right) -> Optional[tuple[int, ...]]:
+    """The map f with f(gens[k]) = values[k] and f(x gens[k]) = f(x) right[k]
+    in `target`, or None as soon as two edges of the right Cayley graph of
+    `table` into one element disagree. `gens` must generate the semigroup.
+
+    Two laws are checked this way, each on the edges (x, g) only:
+    - left translation, target = table and right = gens: f(xg) = f(x)g;
+    - homomorphism, right = values: f(xg) = f(x)f(g).
+    That suffices, because the set of y for which the law holds for every x
+    is closed under products: if it holds for y and z, then
+    f(x(yz)) = f((xy)z) = f(xy)z = f(x)(yz) for a left translation, and
+    f(x(yz)) = f(xy)f(z) = f(x)f(y)f(z) = f(x)f(yz) for a homomorphism.
+    The set contains `gens`, so it is the whole semigroup.
+    """
+    f = [-1] * len(table)
+    for g, v in zip(gens, values):
+        f[g] = v
+    reached = list(gens)
+    for x in reached:  # grows along the graph; every element is reached
+        row, target_fx = table[x], target[f[x]]
+        for g, r in zip(gens, right):
+            y, v = row[g], target_fx[r]
+            if f[y] < 0:
+                f[y] = v
+                reached.append(y)
+            elif f[y] != v:
+                return None
+    return tuple(f)
 
 
 def generated_subsemigroup(S: FiniteSemigroup, subset: Iterable[int]) -> frozenset[int]:
@@ -352,7 +390,12 @@ def evaluate_word(S: FiniteSemigroup, gen_map: Mapping[str, int], word) -> int:
 # --- isomorphism search -----------------------------------------------------
 
 def _wl_classes(S: FiniteSemigroup) -> list[int]:
-    """Stable element partition refined by table interaction (1-dim WL style)."""
+    """Stable element partition refined by table interaction (1-dim WL style).
+
+    Each round refines the last, since a signature starts with the old class;
+    it stops when no class splits. The renumbering alone can cycle, so equal
+    class counts, not equal numberings, end the loop.
+    """
     n = len(S)
     sig = []
     for x in range(n):
@@ -367,7 +410,7 @@ def _wl_classes(S: FiniteSemigroup) -> list[int]:
             )
             new_sig.append((ids[x], tuple(inter)))
         new_ids = _compress(new_sig)
-        if new_ids == ids:
+        if max(new_ids) == max(ids):
             return ids
         ids = new_ids
 
@@ -383,40 +426,12 @@ def small_generating_set(S: FiniteSemigroup) -> list[int]:
     """A small generating set, deterministic for a given table: the greedy
     set that validation uses, less each generator the others make redundant."""
     n = len(S)
-    gens = _generating_set(S.table)
+    gens = generating_set(S)
     for g in list(gens):
         rest = [h for h in gens if h != g]
         if rest and generated_subsemigroup(S, rest) == frozenset(range(n)):
             gens = rest
-    return gens
-
-
-def _extend_iso(S: FiniteSemigroup, T: FiniteSemigroup, seed: dict[int, int]):
-    phi = dict(seed)
-    frontier = list(phi)
-    while frontier:
-        new = []
-        for a in list(phi):
-            for b in frontier:
-                for x, y in ((a, b), (b, a)):
-                    xy = S.table[x][y]
-                    im = T.table[phi[x]][phi[y]]
-                    if xy in phi:
-                        if phi[xy] != im:
-                            return None
-                    else:
-                        phi[xy] = im
-                        new.append(xy)
-        frontier = new
-    if len(phi) != len(S) or len(set(phi.values())) != len(S):
-        return None
-    for a in range(len(S)):
-        row = S.table[a]
-        pa = phi[a]
-        for b in range(len(S)):
-            if phi[row[b]] != T.table[pa][phi[b]]:
-                return None
-    return tuple(phi[i] for i in range(len(S)))
+    return list(gens)
 
 
 def is_isomorphic(
@@ -440,8 +455,8 @@ def is_isomorphic(
     for choice in itertools.product(*candidates):
         if len(set(choice)) != len(choice):
             continue
-        phi = _extend_iso(S, T, dict(zip(gens, choice)))
-        if phi is not None:
+        phi = _extend_on_generators(S.table, gens, choice, T.table, choice)
+        if phi is not None and len(set(phi)) == len(phi):
             return phi
     return None
 

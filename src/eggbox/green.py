@@ -71,7 +71,7 @@ def _ideals(S: FiniteSemigroup):
     """
     rng = range(len(S))
     right = [frozenset(S.table[s]).union((s,)) for s in rng]
-    left = [frozenset(S.table[x][s] for x in rng).union((s,)) for s in rng]
+    left = [frozenset(col).union((s,)) for s, col in enumerate(zip(*S.table))]
     two_of: dict[frozenset, frozenset] = {}
     for r in right:
         if r not in two_of:

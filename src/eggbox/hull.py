@@ -17,7 +17,9 @@ from .core import (
     SemigroupError,
     omega_power,
     opposite,
+    generating_set,
     small_generating_set,
+    _extend_on_generators,
     _find_identity,
 )
 from .green import (
@@ -36,65 +38,23 @@ class Bitranslation:
 
 
 def inner_bitranslation(S: FiniteSemigroup, s: int) -> Bitranslation:
-    n = len(S)
-    return Bitranslation(
-        tuple(S.table[s][u] for u in range(n)),
-        tuple(S.table[u][s] for u in range(n)),
-    )
-
-
-def _factor_with_prefix(S: FiniteSemigroup, gens: list[int]) -> dict[int, tuple[int, int]]:
-    """For each non-generator s, some (g, w) with s = g*w and g a generator."""
-    n = len(S)
-    out = {}
-    gen_set = set(gens)
-    for s in range(n):
-        if s in gen_set:
-            continue
-        for g in gens:
-            found = False
-            for w in range(n):
-                if S.table[g][w] == s:
-                    out[s] = (g, w)
-                    found = True
-                    break
-            if found:
-                break
-        else:
-            raise SemigroupError(f"element {s} not reachable with a generator prefix")
-    return out
+    return Bitranslation(S.table[s], tuple(row[s] for row in S.table))
 
 
 def left_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
-    """All maps lam with lam(st) = lam(s)t.
+    """All maps lam with lam(st) = lam(s)t, in lexicographic order of their
+    values on small_generating_set(S).
 
     A left translation is determined by its values on a generating set,
-    since lam(g*w) = lam(g)*w; candidates are enumerated on generators and
-    verified against the full law.
+    since lam(xg) = lam(x)g; each assignment of values is extended and
+    checked along the right Cayley graph (core._extend_on_generators).
     """
-    n = len(S)
     gens = small_generating_set(S)
-    fact = _factor_with_prefix(S, gens)
-    found = []
-    for assign in itertools.product(range(n), repeat=len(gens)):
-        lam = [0] * n
-        for g, v in zip(gens, assign):
-            lam[g] = v
-        for s, (g, w) in fact.items():
-            lam[s] = S.table[lam[g]][w]
-        ok = True
-        for s in range(n):
-            row = S.table[s]
-            ls = lam[s]
-            for t in range(n):
-                if lam[row[t]] != S.table[ls][t]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(lam))
-    return found
+    maps = (
+        _extend_on_generators(S.table, gens, values, S.table, gens)
+        for values in itertools.product(range(len(S)), repeat=len(gens))
+    )
+    return [lam for lam in maps if lam is not None]
 
 
 def right_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
@@ -104,14 +64,11 @@ def right_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
 
 
 def _linked(S: FiniteSemigroup, lam: tuple[int, ...], rho: tuple[int, ...]) -> bool:
-    n = len(S)
-    for s in range(n):
-        row = S.table[s]
-        rs = rho[s]
-        for t in range(n):
-            if row[lam[t]] != S.table[rs][t]:
-                return False
-    return True
+    """s lam(g) = (s)rho g for every s and every generator g. That suffices:
+    since lam is a left translation, the t with s lam(t) = (s)rho t for all s
+    are closed under products, s lam(tu) = s lam(t)u = (s)rho tu."""
+    table = S.table
+    return all(row[lam[g]] == table[r][g] for g in generating_set(S) for row, r in zip(table, rho))
 
 
 def enumerate_hull(S, bound: int = 8) -> frozenset[Bitranslation]:
@@ -254,8 +211,7 @@ def classify(S: FiniteSemigroup) -> dict:
 def reductivity(S: FiniteSemigroup) -> dict:
     """Injectivity of the canonical maps into translations of S itself."""
     n = len(S)
-    lams = [tuple(S.table[s][u] for u in range(n)) for s in range(n)]
-    rhos = [tuple(S.table[u][s] for u in range(n)) for s in range(n)]
+    lams, rhos = S.table, list(zip(*S.table))  # s -> row s, column s
     right_red = len(set(lams)) == n
     left_red = len(set(rhos)) == n
     weak = len(set(zip(lams, rhos))) == n

@@ -114,6 +114,12 @@ def letters_of(term: Term) -> frozenset[str]:
 # has no more parentheses than height, so it parses again.
 _MAX_NESTING = 100
 
+# Bound on the length of a term unfolded with omega exponents n+2, the
+# unfolding that term_i_t and debruijn_encode_term work through; checked
+# arithmetically before anything is unfolded, since the length grows
+# exponentially with nesting.
+_MAX_UNFOLDED = 10**5
+
 
 class _Parser:
     def __init__(self, text: str):
@@ -258,7 +264,8 @@ def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
     """`term` as a function of a value tuple v, letter ch being v[index[ch]].
 
     Concatenation reads S.table. Each power reads a table of x^e for all x,
-    built here once (omega powers start from the cached omega tables).
+    built here once by repeated squaring (omega powers start from the cached
+    omega tables).
     """
     table = S.table
     if isinstance(term, Letter):
@@ -282,8 +289,12 @@ def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
     else:
         omega, minus_one = S._derive("omega", _omega_tables)
         powers, k = (minus_one, 0) if e.k == -1 else (omega, e.k)
-    for _ in range(k):
-        powers = [table[p][x] for x, p in enumerate(powers)]
+    square = range(len(S))  # x^(2^i) at step i, so powers[x] ends as powers[x] x^k
+    while k:
+        if k & 1:
+            powers = [table[p][s] for p, s in zip(powers, square)]
+        square = [table[s][s] for s in square]
+        k >>= 1
     return lambda v: powers[base(v)]
 
 
@@ -433,23 +444,32 @@ def unfold(term: Term, omega_reps: int) -> Word:
     return Word(base * reps)
 
 
-def term_i_t(term: Term, n: int) -> tuple[Word, Word]:
-    """(i_n, t_n) of the term, via a sufficiently deep unfolding."""
-    term = _as_term(term)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = unfold(term, n + 2)
-    return i_n(w, n), t_n(w, n)
-
-
-def _minlen(term: Term) -> int:
+def _unfolded_length(term: Term, omega_reps: int) -> int:
+    """len(unfold(term, omega_reps)) for omega_reps >= 2, without unfolding.
+    With omega_reps = 1 it is the shortest unfolding's length (each omega
+    power taken at least once)."""
     if isinstance(term, Letter):
         return 1
     if isinstance(term, Concat):
-        return sum(_minlen(p) for p in term.parts)
+        return sum(_unfolded_length(p, omega_reps) for p in term.parts)
     e = term.exp
-    reps = e if isinstance(e, int) else max(1, 1 + e.k)
-    return reps * _minlen(term.base)
+    reps = e if isinstance(e, int) else max(1, omega_reps + e.k)
+    return reps * _unfolded_length(term.base, omega_reps)
+
+
+def _check_unfoldable(term: Term, n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if (length := _unfolded_length(term, n + 2)) > _MAX_UNFOLDED:
+        raise ValueError(f"term unfolds to {length} letters with w = {n + 2}, over the bound {_MAX_UNFOLDED}")
+
+
+def term_i_t(term: Term, n: int) -> tuple[Word, Word]:
+    """(i_n, t_n) of the term, via a sufficiently deep unfolding."""
+    term = _as_term(term)
+    _check_unfoldable(term, n)
+    w = unfold(term, n + 2)
+    return i_n(w, n), t_n(w, n)
 
 
 def _gram(letters: tuple[str, ...]) -> Letter:
@@ -483,7 +503,7 @@ def _encode(ctx: tuple[str, ...], term: Term, n: int):
     # then use Phi_n(c u^w) = Phi_n(c u) Phi_n(t_n(u) u)^(w-1) and its shifts.
     k = e.k
     base = term.base
-    j = max(1, -(-n // _minlen(base)))
+    j = max(1, -(-n // _unfolded_length(base, 1)))
     U = base if j == 1 else Power(base, j)
     head, tail_u = _encode(ctx, U, n)
     block, tail_check = _encode(tail_u, U, n)
@@ -518,8 +538,7 @@ def debruijn_encode_term(term: Term, n: int) -> Term:
     TermTooShortError.
     """
     term = _as_term(term)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_unfoldable(term, n)
     phi, _ = _encode((), term, n)
     if phi is None:
         raise TermTooShortError("term unfolds to length <= n")

@@ -160,6 +160,15 @@ def test_check_vdn(tmp_path, capsys, z2):
     assert code == 0
 
 
+def test_check_huge_exponents(tmp_path, capsys, z2):
+    path = write_semigroup(tmp_path, "z2.json", z2)
+    code, out, _ = run(capsys, ["check", "id", path, "x^100000000", "x"])
+    assert (code, json.loads(out)) == (1, {"holds": False, "witness": {"x": 1}})
+    code, out, err = run(capsys, ["check", "vdn", "a^100000000", "a", "--n", "1", "--in", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "bound" in err
+
+
 def test_check_vdn_needs_in(capsys):
     code, out, err = run(capsys, ["check", "vdn", "ab", "ab", "--n", "1"])
     assert (code, out) == (2, "")

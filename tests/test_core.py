@@ -343,3 +343,97 @@ def test_validate_accepts_a_1024_element_table():
     big = core.direct_product(core.direct_product(t4, core.u1()), core.u1())
     S = core.validate(big.elements, big.table)
     assert S.table == big.table and S.identity == big.identity
+
+
+# --- isomorphism search as it was before core._extend_on_generators ------------
+
+def old_extend_iso(S, T, seed):
+    phi = dict(seed)
+    frontier = list(phi)
+    while frontier:
+        new = []
+        for a in list(phi):
+            for b in frontier:
+                for x, y in ((a, b), (b, a)):
+                    xy = S.table[x][y]
+                    im = T.table[phi[x]][phi[y]]
+                    if xy in phi:
+                        if phi[xy] != im:
+                            return None
+                    else:
+                        phi[xy] = im
+                        new.append(xy)
+        frontier = new
+    if len(phi) != len(S) or len(set(phi.values())) != len(S):
+        return None
+    for a in range(len(S)):
+        row = S.table[a]
+        pa = phi[a]
+        for b in range(len(S)):
+            if phi[row[b]] != T.table[pa][phi[b]]:
+                return None
+    return tuple(phi[i] for i in range(len(S)))
+
+
+def old_is_isomorphic(S, T):
+    cs, ct = core._wl_classes(S), core._wl_classes(T)
+    if sorted(cs) != sorted(ct):
+        return None
+    gens = core.small_generating_set(S)
+    candidates = [[t for t in range(len(T)) if ct[t] == cs[g]] for g in gens]
+    for choice in itertools.product(*candidates):
+        if len(set(choice)) != len(choice):
+            continue
+        phi = old_extend_iso(S, T, dict(zip(gens, choice)))
+        if phi is not None:
+            return phi
+    return None
+
+
+def relabel(S, perm):
+    """S with element x renamed perm[x]."""
+    inv = sorted(range(len(S)), key=perm.__getitem__)
+    tab = tuple(tuple(perm[S.table[x][y]] for y in inv) for x in inv)
+    return core.FiniteSemigroup(tuple(S.elements[x] for x in inv), tab)
+
+
+def test_is_isomorphic_matches_the_all_pairs_check():
+    rng = random.Random(67)
+    pool = list(small_library().values())
+    pool += [random_transformation_semigroup(rng, max_size=16, min_size=3) for _ in range(25)]
+    found = missed = 0
+    for S in pool:
+        for _ in range(2):
+            perm = list(range(len(S)))
+            rng.shuffle(perm)
+            T = relabel(S, perm)
+            phi = core.is_isomorphic(S, T)
+            assert phi is not None and phi == old_is_isomorphic(S, T)
+            found += 1
+    for S, T in itertools.combinations(pool, 2):
+        if len(S) == len(T):
+            phi = core.is_isomorphic(S, T)
+            assert phi == old_is_isomorphic(S, T)
+            missed += phi is None
+    assert found == 2 * len(pool) and missed > 10
+
+
+def test_wl_classes_stop_when_only_the_numbering_changes():
+    # a 12-element transformation semigroup whose class numbering cycled
+    # forever while the partition itself was stable
+    table = [
+        [1, 11, 11, 1, 2, 3, 3, 4, 4, 11, 11, 11],
+        [11, 11, 11, 11, 11, 1, 1, 2, 2, 11, 11, 11],
+        [1, 11, 11, 1, 2, 2, 11, 1, 11, 1, 2, 11],
+        [11, 11, 11, 11, 11, 3, 3, 4, 4, 11, 11, 11],
+        [3, 11, 11, 3, 4, 4, 11, 3, 11, 3, 4, 11],
+        [9, 11, 11, 9, 10, 5, 6, 7, 8, 9, 10, 11],
+        [11, 11, 11, 11, 11, 6, 6, 8, 8, 11, 11, 11],
+        [6, 11, 11, 6, 8, 7, 9, 5, 10, 6, 8, 11],
+        [6, 11, 11, 6, 8, 8, 11, 6, 11, 6, 8, 11],
+        [11, 11, 11, 11, 11, 9, 9, 10, 10, 11, 11, 11],
+        [9, 11, 11, 9, 10, 10, 11, 9, 11, 9, 10, 11],
+        [11] * 12,
+    ]
+    S = core.validate(map(str, range(12)), table)
+    assert core.is_isomorphic(S, S) == tuple(range(12))

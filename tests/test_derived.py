@@ -123,6 +123,8 @@ def test_deriving_keeps_the_instance_layout():
     green.green_structure(S)
     hull.kernel_representation(S)
     assert set(S._derived) == {"omega", "green"}
+    core.small_generating_set(S)
+    assert set(S._derived) == {"omega", "green", "gens"}
     assert list(vars(S)) == keys
 
 
@@ -152,3 +154,20 @@ def test_analyze_builds_green_structure_once(tmp_path, capsys, monkeypatch):
         assert cli.main(["analyze", str(path)]) == 0
         capsys.readouterr()
         assert calls == [len(S)]
+
+
+def test_hull_builds_the_generating_set_once_per_table(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = core._generating_set
+    monkeypatch.setattr(core, "_generating_set", lambda table: calls.append(table) or real(table))
+    S = core.full_transformation_monoid(2)
+    path = tmp_path / "t2.json"
+    path.write_text(json.dumps(core.to_dict(S)))
+    assert cli.main(["hull", str(path)]) == 0
+    capsys.readouterr()
+    # validate's set is kept for S; the right translations need opposite(S)
+    assert calls == [S.table, core.opposite(S).table]
+    T = core.validate(S.elements, S.table)
+    assert core.generating_set(T) is core.generating_set(T)
+    core.small_generating_set(T)
+    assert len(calls) == 3

@@ -379,3 +379,80 @@ def test_enumerate_hull_rees_matches_all_pairs():
         P = tuple(tuple(rng.randrange(len(G)) for _ in range(a)) for _ in range(b))
         rm = green.ReesMatrixSemigroup(a, b, G, P)
         assert hull.enumerate_hull_rees(rm) == old_enumerate_hull_rees(rm), (a, b, len(G), P)
+
+
+# --- the brute-force enumerators as they were before core._extend_on_generators --
+
+def old_factor_with_prefix(S, gens):
+    """For each non-generator s, some (g, w) with s = g*w and g a generator."""
+    n = len(S)
+    out = {}
+    gen_set = set(gens)
+    for s in range(n):
+        if s in gen_set:
+            continue
+        for g in gens:
+            found = False
+            for w in range(n):
+                if S.table[g][w] == s:
+                    out[s] = (g, w)
+                    found = True
+                    break
+            if found:
+                break
+        else:
+            raise core.SemigroupError(f"element {s} not reachable with a generator prefix")
+    return out
+
+
+def old_left_translations(S):
+    n = len(S)
+    gens = core.small_generating_set(S)
+    fact = old_factor_with_prefix(S, gens)
+    found = []
+    for assign in itertools.product(range(n), repeat=len(gens)):
+        lam = [0] * n
+        for g, v in zip(gens, assign):
+            lam[g] = v
+        for s, (g, w) in fact.items():
+            lam[s] = S.table[lam[g]][w]
+        ok = True
+        for s in range(n):
+            row = S.table[s]
+            ls = lam[s]
+            for t in range(n):
+                if lam[row[t]] != S.table[ls][t]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            found.append(tuple(lam))
+    return found
+
+
+def old_linked(S, lam, rho):
+    n = len(S)
+    for s in range(n):
+        row = S.table[s]
+        rs = rho[s]
+        for t in range(n):
+            if row[lam[t]] != S.table[rs][t]:
+                return False
+    return True
+
+
+def test_translations_and_hull_match_the_all_pairs_check():
+    rng = random.Random(61)
+    cases = list(small_library().values())
+    cases += [random_transformation_semigroup(rng, max_size=8, min_size=3) for _ in range(12)]
+    for S in cases:
+        lams = hull.left_translations(S)
+        rhos = hull.right_translations(S)
+        assert lams == old_left_translations(S)
+        assert rhos == old_left_translations(core.opposite(S))
+        for lam in lams:
+            for rho in rhos:
+                assert hull._linked(S, lam, rho) == old_linked(S, lam, rho)
+        old_hull = {hull.Bitranslation(l, r) for l in lams for r in rhos if old_linked(S, l, r)}
+        assert hull.enumerate_hull(S) == old_hull

@@ -583,3 +583,44 @@ def test_crh_keys_need_no_global_memo():
             assert equal_in_crh(u, v, h)[0] == (oracle_crh_key(tuple(u), h) == oracle_crh_key(tuple(v), h))
     assert not hasattr(terms, "_crh_memo")
     assert sizes() == before
+
+
+def test_power_tables_match_the_sequential_product():
+    rng = random.Random(71)
+    for _ in range(8):
+        S = random_transformation_semigroup(rng, max_size=40)
+        n = len(S)
+        for _ in range(6):
+            e = rng.randint(1, 3 * n)
+            k = rng.randint(1, 3 * n)
+            power = terms._compile(Power(Letter("x"), e), S, {"x": 0})
+            omega_plus = terms._compile(Power(Letter("x"), OmegaExp(k)), S, {"x": 0})
+            for x in range(n):
+                acc = x
+                for _ in range(e - 1):
+                    acc = S.table[acc][x]
+                assert power((x,)) == acc
+                acc = core.omega_power(S, x)
+                for _ in range(k):
+                    acc = S.table[acc][x]
+                assert omega_plus((x,)) == acc
+
+
+def test_huge_exponents_are_evaluated_without_unfolding(z2):
+    assert terms.satisfies_identity(z2, "x^100000000", "x") == (False, {"x": 1})
+    assert terms.satisfies_identity(z2, "x^(w+100000001)", "x") == (True, None)
+
+
+def test_vdn_rejects_long_unfoldings_before_unfolding(u1):
+    bound = terms._MAX_UNFOLDED
+    assert terms.term_i_t(f"a^{bound - 2}b^2", 1)[1].letters == ("b",)
+    nested = "a"
+    for _ in range(40):
+        nested = f"({nested} b)^(w-1)"
+    for term in (f"a^{bound + 1}", "a^100000000", nested, f"(ab)^{bound // 2}(ab)^w"):
+        with pytest.raises(ValueError, match=f"bound {bound}"):
+            terms.term_i_t(term, 1)
+        with pytest.raises(ValueError, match=f"bound {bound}"):
+            terms.debruijn_encode_term(term, 1)
+        with pytest.raises(ValueError, match=f"bound {bound}"):
+            terms.check_vdn(term, "ab", 1, u1)
