@@ -112,6 +112,7 @@ def cmd_construct(args) -> int:
         if args.sandwich:
             sandwich = green.sandwich_from_json(json.loads(args.sandwich))
         else:
+            constructions.check_rees_size(args.a, len(group), args.b)
             e = group.identity
             sandwich = [[e] * args.a for _ in range(args.b)]
         S = constructions.rees_matrix(args.a, group, args.b, sandwich)

@@ -18,12 +18,11 @@ from .core import FiniteSemigroup, _omega_tables
 from .words import (
     Word,
     EmptyWordError,
-    characteristic_sequence,
+    characteristic_spans,
     coerce,
     content,
     i_n,
-    left_basic_factorization,
-    right_basic_factorization,
+    marker_positions,
     t_n,
 )
 
@@ -304,16 +303,60 @@ def evaluate(term: Term, S: FiniteSemigroup, assignment: Mapping[str, int]) -> i
     return _compile(term, S, index)(tuple(assignment.values()))
 
 
+def _hoist(term: Term, z: str, slots: dict) -> Term:
+    """`term` with every maximal z-free subterm replaced by a slot letter.
+
+    Consecutive z-free factors of a product form one subterm. `slots` maps
+    each distinct subterm to its slot, an int (so never equal to z), and
+    structurally equal subterms share one.
+    """
+    if z not in letters_of(term):
+        return Letter(slots.setdefault(term, len(slots)))
+    if isinstance(term, Letter):
+        return term
+    if isinstance(term, Power):
+        return Power(_hoist(term.base, z, slots), term.exp)
+    parts = []
+    for free, run in itertools.groupby(term.parts, lambda p: z not in letters_of(p)):
+        run = list(run)
+        parts += [_hoist(concat(run), z, slots)] if free else [_hoist(p, z, slots) for p in run]
+    return concat(parts)
+
+
+# Bound on the first-failure memo of one scan; when full it is emptied and
+# refilled, which costs time but never changes the answer.
+_MAX_SCAN_KEYS = 1 << 16
+
+
 def _first_failure(S: FiniteSemigroup, lhs: Term, rhs: Term, related):
     """The lexicographically first assignment (letters sorted, values in
-    index order) with related(lhs, rhs) false, or None."""
+    index order) with related(lhs, rhs) false, or None.
+
+    With z the last letter, both sides depend on the other letters only
+    through the values of their maximal z-free subterms (the key). The scan
+    walks the other letters in order and tries every z once per distinct
+    key, remembering the first failing z (or None).
+    """
     lhs, rhs = _as_term(lhs), _as_term(rhs)
     variables = sorted(letters_of(lhs) | letters_of(rhs))
-    index = {ch: i for i, ch in enumerate(variables)}
-    f, g = _compile(lhs, S, index), _compile(rhs, S, index)
-    for values in itertools.product(range(len(S)), repeat=len(variables)):
-        if not related(f(values), g(values)):
-            return dict(zip(variables, values))
+    *outer, z = variables
+    slots: dict = {}
+    sides = [_hoist(t, z, slots) for t in (lhs, rhs)]
+    outer_index = {ch: i for i, ch in enumerate(outer)}
+    keyed = [_compile(t, S, outer_index) for t in slots]
+    inner_index = {i: i for i in range(len(slots))}
+    inner_index[z] = len(slots)
+    f, g = (_compile(t, S, inner_index) for t in sides)
+    zs = range(len(S))
+    memo: dict = {}
+    for values in itertools.product(zs, repeat=len(outer)):
+        key = tuple([slot(values) for slot in keyed])
+        if key not in memo:
+            if len(memo) >= _MAX_SCAN_KEYS:
+                memo.clear()
+            memo[key] = next((x for x in zs if not related(f(v := key + (x,)), g(v))), None)
+        if memo[key] is not None:
+            return dict(zip(variables, values + (memo[key],)))
     return None
 
 
@@ -530,6 +573,23 @@ def _encode(ctx: tuple[str, ...], term: Term, n: int):
     return concat(pieces), ctx2
 
 
+def _encode_visits(term: Term, n: int) -> int:
+    """The letters _encode(ctx, term, n) visits, for any ctx, without
+    encoding: an omega power encodes its raised base U twice (head and
+    block), then the trailing copies of the base."""
+    if isinstance(term, Letter):
+        return 1
+    if isinstance(term, Concat):
+        return sum(_encode_visits(p, n) for p in term.parts)
+    e = term.exp
+    base = _encode_visits(term.base, n)
+    if isinstance(e, int):
+        return e * base
+    j = max(1, -(-n // _unfolded_length(term.base, 1)))
+    trailing = 0 if j == 1 and e.k >= 0 else e.k if e.k >= 0 else j - 1
+    return (2 * j + trailing) * base
+
+
 def debruijn_encode_term(term: Term, n: int) -> Term:
     """Phi_n of a term, as a term over (n+1)-gram letters.
 
@@ -539,6 +599,8 @@ def debruijn_encode_term(term: Term, n: int) -> Term:
     """
     term = _as_term(term)
     _check_unfoldable(term, n)
+    if (visits := _encode_visits(term, n)) > _MAX_UNFOLDED:
+        raise ValueError(f"encoding the term visits {visits} letters at n = {n}, over the bound {_MAX_UNFOLDED}")
     phi, _ = _encode((), term, n)
     if phi is None:
         raise TermTooShortError("term unfolds to length <= n")
@@ -609,7 +671,7 @@ class GroupSpec:
 
 def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
     """Canonical class key: two words are equal over CR meet H-bar exactly
-    when their keys coincide. `memo` maps letters to keys within one call."""
+    when their keys coincide. `memo` maps letters to keys for one GroupSpec."""
     if letters in memo:
         return memo[letters]
     if not letters:
@@ -626,12 +688,11 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
             else:
                 result = ("pow", a, j)
         else:
-            w = Word(letters)
-            zero_key = _crh_key(left_basic_factorization(w).prefix.letters, h, memo)
-            one_key = _crh_key(right_basic_factorization(w).remainder.letters, h, memo)
+            i, j = marker_positions(letters, c)
+            zero_key = _crh_key(letters[:i], h, memo)
+            one_key = _crh_key(letters[j + 1 :], h, memo)
             ids = tuple(
-                _crh_key(factor.letters, h, memo)
-                for factor, _, _ in characteristic_sequence(w)
+                _crh_key(letters[s:e], h, memo) for s, e in characteristic_spans(letters, len(c))
             )
             if h.kind == "trivial":
                 chi_part = None
@@ -647,32 +708,36 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
     return result
 
 
-def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
+def equal_in_crh(u, v, h: GroupSpec, memo: Optional[dict] = None) -> tuple[bool, Optional[str]]:
     """Recursive equality of two finite words over the completely regular
     semigroups whose subgroups lie in h.
 
     Returns (equal, first failing condition), the condition being one of
-    "content", "zero", "one", "h".
+    "content", "zero", "one", "h". `memo`, if given, is a dict the caller
+    owns and passes again with the same h (never another GroupSpec), so
+    keys computed once are reused across calls.
     """
     u, v = coerce(u), coerce(v)
     if not u or not v:
         raise EmptyWordError("the word problem needs nonempty words")
-    if content(u) != content(v):
+    c = content(u)
+    if c != content(v):
         return False, "content"
-    memo: dict = {}
-    if _crh_key(left_basic_factorization(u).prefix.letters, h, memo) != _crh_key(
-        left_basic_factorization(v).prefix.letters, h, memo
-    ):
+    memo = {} if memo is None else memo
+    u, v = u.letters, v.letters
+    (iu, ju), (iv, jv) = marker_positions(u, c), marker_positions(v, c)
+    if _crh_key(u[:iu], h, memo) != _crh_key(v[:iv], h, memo):
         return False, "zero"
-    if _crh_key(right_basic_factorization(u).remainder.letters, h, memo) != _crh_key(
-        right_basic_factorization(v).remainder.letters, h, memo
-    ):
+    if _crh_key(u[ju + 1 :], h, memo) != _crh_key(v[jv + 1 :], h, memo):
         return False, "one"
-    if _crh_key(u.letters, h, memo) != _crh_key(v.letters, h, memo):
+    if _crh_key(u, h, memo) != _crh_key(v, h, memo):
         return False, "h"
     return True, None
 
 
-def crh_class_key(u, h: GroupSpec):
-    """The canonical key of a word; equal keys mean equal over CR meet H-bar."""
-    return _crh_key(coerce(u).letters, h, {})
+def crh_class_key(u, h: GroupSpec, memo: Optional[dict] = None):
+    """The canonical key of a word; equal keys mean equal over CR meet H-bar.
+
+    `memo` is as in equal_in_crh: a caller-owned dict, valid for one h.
+    """
+    return _crh_key(coerce(u).letters, h, {} if memo is None else memo)

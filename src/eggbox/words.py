@@ -130,6 +130,14 @@ class Factorization:
         return self.prefix * Word((self.marker,)) * self.remainder
 
 
+def marker_positions(letters: tuple[str, ...], c) -> tuple[int, int]:
+    """(i, j) for a nonempty word with content c: letters[i] is the letter
+    whose first occurrence comes last, letters[j] the one whose last
+    occurrence comes first."""
+    rev = letters[::-1]
+    return max(map(letters.index, c)), len(letters) - 1 - max(map(rev.index, c))
+
+
 def left_basic_factorization(w: WordLike) -> Factorization:
     """w = prefix . marker . remainder with content(w) = content(prefix) + {marker}.
 
@@ -138,10 +146,7 @@ def left_basic_factorization(w: WordLike) -> Factorization:
     w = coerce(w)
     if not w:
         raise EmptyWordError("left basic factorization needs a nonempty word")
-    first: dict[str, int] = {}
-    for i, a in enumerate(w.letters):
-        first.setdefault(a, i)
-    pos = max(first.values())
+    pos, _ = marker_positions(w.letters, content(w))
     return Factorization(w[:pos], w.letters[pos], w[pos + 1 :])
 
 
@@ -150,8 +155,8 @@ def right_basic_factorization(w: WordLike) -> Factorization:
     w = coerce(w)
     if not w:
         raise EmptyWordError("right basic factorization needs a nonempty word")
-    rev = left_basic_factorization(w.reversed())
-    return Factorization(rev.remainder.reversed(), rev.marker, rev.prefix.reversed())
+    _, pos = marker_positions(w.letters, content(w))
+    return Factorization(w[:pos], w.letters[pos], w[pos + 1 :])
 
 
 def zero_funcs(w: WordLike) -> tuple[Word, str]:
@@ -204,24 +209,34 @@ def characteristic_sequence(w: WordLike) -> list[tuple[Word, int, int]]:
     k = len(content(w))
     if k < 2:
         raise ContentTooSmallError("characteristic sequence needs content of size >= 2")
-    m = len(w)
-    out = []
-    best_end = -1
-    for i in range(m):
-        seen: set[str] = set()
-        j = i
-        last_good = -1
-        while j < m:
-            seen.add(w.letters[j])
-            if len(seen) > k - 1:
-                break
-            last_good = j
+    return [(w[i:j], i + 1, j) for i, j in characteristic_spans(w.letters, k)]
+
+
+def characteristic_spans(letters: tuple[str, ...], k: int) -> list[tuple[int, int]]:
+    """The characteristic sequence of a word with k >= 2 letters, as slices
+    letters[i:j] in order of i.
+
+    One sliding window with letter counts: the longest factor starting at i
+    with at most k - 1 letters ends no earlier than the one starting at
+    i - 1, so each is kept when it has exactly k - 1 letters and ends later
+    than the last one kept. O(len(letters)).
+    """
+    counts: dict[str, int] = {}
+    spans: list[tuple[int, int]] = []
+    m, j = len(letters), 0
+    for i, a in enumerate(letters):
+        while j < m and (letters[j] in counts or len(counts) < k - 1):
+            counts[letters[j]] = counts.get(letters[j], 0) + 1
             j += 1
-        if last_good >= 0 and len(set(w.letters[i : last_good + 1])) == k - 1:
-            if last_good > best_end:
-                out.append((w[i : last_good + 1], i + 1, last_good + 1))
-                best_end = last_good
-    return out
+        if len(counts) == k - 1 and (not spans or j > spans[-1][1]):
+            spans.append((i, j))
+        if j == m:  # every later window ends here too, so none is kept
+            break
+        if counts[a] == 1:
+            del counts[a]
+        else:
+            counts[a] -= 1
+    return spans
 
 
 def _find_factor(hay: tuple[str, ...], needle: tuple[str, ...], start: int = 0) -> int:

@@ -121,3 +121,48 @@ def random_transformation_semigroup(rng, max_size=120, min_size=8):
             return core.from_function(
                 sorted(elems), lambda f, g: tuple(g[f[i]] for i in range(len(f)))
             )
+
+
+def old_characteristic_sequence(w):
+    """words.characteristic_sequence before its sliding window: a fresh set
+    for every start position, O(m * window)."""
+    from eggbox import words
+
+    w = words.coerce(w)
+    k = len(words.content(w))
+    if k < 2:
+        raise words.ContentTooSmallError("characteristic sequence needs content of size >= 2")
+    m = len(w)
+    out = []
+    best_end = -1
+    for i in range(m):
+        seen: set[str] = set()
+        j = i
+        last_good = -1
+        while j < m:
+            seen.add(w.letters[j])
+            if len(seen) > k - 1:
+                break
+            last_good = j
+            j += 1
+        if last_good >= 0 and len(set(w.letters[i : last_good + 1])) == k - 1:
+            if last_good > best_end:
+                out.append((w[i : last_good + 1], i + 1, last_good + 1))
+                best_end = last_good
+    return out
+
+
+def random_words(rng, count, max_len=40):
+    """Seeded words with content >= 2: plain letters, and de Bruijn encodings
+    whose letters are composite (n+1)-grams."""
+    from eggbox import words
+
+    out = []
+    while len(out) < count:
+        sigma = "abcdef"[: rng.randint(2, 6)]
+        w = tuple(rng.choice(sigma) for _ in range(rng.randint(2, max_len)))
+        if rng.random() < 0.3:
+            w = words.debruijn_encode(w, rng.randint(1, 2)).letters
+        if len(set(w)) >= 2:
+            out.append(w)
+    return out

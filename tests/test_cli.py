@@ -169,6 +169,28 @@ def test_check_huge_exponents(tmp_path, capsys, z2):
     assert err.startswith("error: ") and err.count("\n") == 1 and "bound" in err
 
 
+def test_check_vdn_bounds_the_encoding_work(tmp_path, capsys, z2):
+    path = write_semigroup(tmp_path, "z2.json", z2)
+    code, out, err = run(capsys, ["check", "vdn", "a^w^w^w^w^w", "a", "--n", "8", "--in", path])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: encoding the term visits") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "kp", "1000003"], "K_1000003 would have 4000012 elements"),
+        (["construct", "rees", "--group", "z:100000"], "Z100000 would have 100000 elements"),
+        (["construct", "rees", "--a", "1000000", "--b", "1000000"], "M(1000000, G, 1000000; P) with |G| = 1"),
+    ],
+    ids=["kp", "rees-group", "rees-shape"],
+)
+def test_constructions_over_the_size_bound_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 def test_check_vdn_needs_in(capsys):
     code, out, err = run(capsys, ["check", "vdn", "ab", "ab", "--n", "1"])
     assert (code, out) == (2, "")

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -19,7 +20,7 @@ from eggbox.terms import (
     parse_term,
     term_to_text,
 )
-from conftest import random_transformation_semigroup, small_library
+from conftest import old_characteristic_sequence, random_transformation_semigroup, random_words, small_library
 
 
 def test_parse_basic():
@@ -464,13 +465,14 @@ def test_satisfies_identity_symmetric():
 
 def crh_closure(letters, h):
     """Class representatives closed under concatenation."""
-    reps = {terms.crh_class_key(a, h): a for a in letters}
+    memo: dict = {}
+    reps = {terms.crh_class_key(a, h, memo): a for a in letters}
     while True:
         new = {}
         items = list(reps.values())
         for u in items:
             for v in items:
-                k = terms.crh_class_key(u + v, h)
+                k = terms.crh_class_key(u + v, h, memo)
                 if k not in reps and k not in new:
                     new[k] = u + v
         if not new:
@@ -624,3 +626,208 @@ def test_vdn_rejects_long_unfoldings_before_unfolding(u1):
             terms.debruijn_encode_term(term, 1)
         with pytest.raises(ValueError, match=f"bound {bound}"):
             terms.check_vdn(term, "ab", 1, u1)
+
+
+# --- the keyed scan and the linear CR keys against the code they replaced -----
+
+def old_first_failure(S, lhs, rhs, related):
+    """terms._first_failure before the scan was keyed: every assignment."""
+    lhs, rhs = terms._as_term(lhs), terms._as_term(rhs)
+    variables = sorted(terms.letters_of(lhs) | terms.letters_of(rhs))
+    index = {ch: i for i, ch in enumerate(variables)}
+    f, g = terms._compile(lhs, S, index), terms._compile(rhs, S, index)
+    for values in itertools.product(range(len(S)), repeat=len(variables)):
+        if not related(f(values), g(values)):
+            return dict(zip(variables, values))
+    return None
+
+
+def term_with_repeats(rng, pool, letters, depth=3):
+    """A random term over `letters` that reuses the subterms in `pool`."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.25:
+        return Letter(rng.choice(letters))
+    if roll < 0.45:
+        return rng.choice(pool)
+    if roll < 0.75:
+        return terms.concat([term_with_repeats(rng, pool, letters, depth - 1) for _ in range(rng.randint(2, 4))])
+    exp = rng.choice([rng.randint(1, 3), OmegaExp(0), OmegaExp(-1), OmegaExp(1)])
+    return Power(term_with_repeats(rng, pool, letters, depth - 1), exp)
+
+
+def keyed_scan_cases():
+    """Pairs of terms with repeated z-free subterms, single-letter terms, and
+    terms in which the last letter occurs on one side only."""
+    rng = random.Random(2017)
+    semigroups = list(small_library().values())
+    semigroups += [random_transformation_semigroup(rng, max_size=10) for _ in range(25)]
+    for S in semigroups:
+        pool = [random_term(rng, depth=1) for _ in range(3)]
+        pairs = [(term_with_repeats(rng, pool, "xyz"), term_with_repeats(rng, pool, "xyz")) for _ in range(3)]
+        pairs.append((term_with_repeats(rng, pool, "x"), term_with_repeats(rng, pool, "x")))
+        pairs.append((term_with_repeats(rng, pool, "xy"), term_with_repeats(rng, pool, "yz")))
+        pairs.append((term_with_repeats(rng, pool, "xz"), term_with_repeats(rng, pool, "xy")))
+        t = term_with_repeats(rng, pool, "xyz")
+        pairs += [(t, t), (concat_with(t, "z"), concat_with(t, "z"))]
+        yield S, pairs
+
+
+def concat_with(t, ch):
+    return terms.concat([t, Letter(ch), t])
+
+
+def test_keyed_scan_matches_the_full_scan():
+    checked = failed = 0
+    for S, pairs in keyed_scan_cases():
+        for lhs, rhs in pairs:
+            want = old_first_failure(S, lhs, rhs, operator.eq)
+            assert terms._first_failure(S, lhs, rhs, operator.eq) == want, (term_to_text(lhs), term_to_text(rhs))
+            checked += 1
+            failed += want is not None
+    assert checked > 300 and 0.2 < failed / checked < 0.9
+
+
+def test_keyed_scan_is_exact_when_its_memo_is_refilled(monkeypatch):
+    monkeypatch.setattr(terms, "_MAX_SCAN_KEYS", 2)
+    for S, pairs in itertools.islice(keyed_scan_cases(), 10):
+        for lhs, rhs in pairs:
+            assert terms._first_failure(S, lhs, rhs, operator.eq) == old_first_failure(S, lhs, rhs, operator.eq)
+
+
+def test_keyed_scan_of_inequalities_matches_the_full_scan():
+    from eggbox import order
+
+    checked = 0
+    for S, pairs in keyed_scan_cases():
+        if len(S) > 8:
+            continue
+        for os_ in order.enumerate_stable_orders(S, limit=3):
+            related = lambda a, b: (a, b) in os_.leq
+            for lhs, rhs in pairs:
+                want = old_first_failure(S, lhs, rhs, related)
+                assert terms.satisfies_inequality(os_, lhs, rhs) == (want is None, want)
+                checked += 1
+    assert checked > 200
+
+
+def test_hoisting_shares_slots_and_groups_z_free_factors():
+    slots = {}
+    hoisted = terms._hoist(parse_term("(x y z x y)^w x y (z t)^2"), "z", slots)
+    assert slots == {parse_term("xy"): 0, Letter("t"): 1}
+    slot = Letter(0)
+    assert hoisted == terms.concat(
+        [Power(terms.concat([slot, Letter("z"), slot]), OmegaExp(0)), slot, Power(terms.concat([Letter("z"), Letter(1)]), 2)]
+    )
+    assert terms._hoist(parse_term("x y^w"), "z", {}) == slot
+
+
+def old_crh_key(letters, h, memo):
+    """terms._crh_key before it worked on letter tuples and spans."""
+    if letters in memo:
+        return memo[letters]
+    if not letters:
+        result = ("eps",)
+    else:
+        c = frozenset(letters)
+        if len(c) == 1:
+            a = letters[0]
+            j = len(letters)
+            if h.kind == "trivial":
+                result = ("pow", a)
+            elif h.kind == "abelian":
+                result = ("pow", a, j % h.n)
+            else:
+                result = ("pow", a, j)
+        else:
+            w = words.Word(letters)
+            zero_key = old_crh_key(words.left_basic_factorization(w).prefix.letters, h, memo)
+            one_key = old_crh_key(words.right_basic_factorization(w).remainder.letters, h, memo)
+            ids = tuple(
+                old_crh_key(factor.letters, h, memo)
+                for factor, _, _ in old_characteristic_sequence(w)
+            )
+            if h.kind == "trivial":
+                chi_part = None
+            elif h.kind == "abelian":
+                counts = Counter(ids)
+                chi_part = frozenset(
+                    (i, cnt % h.n) for i, cnt in counts.items() if cnt % h.n != 0
+                )
+            else:
+                chi_part = ids
+            result = ("word", c, zero_key, one_key, chi_part)
+    memo[letters] = result
+    return result
+
+
+def key_id(key, table, seen):
+    """An int per class key, equal for equal keys. Keys share subkeys, so
+    comparing two separately built keys with == can take exponential time;
+    this walks each shared subkey once (`seen` maps id(subkey) to its int)."""
+    if id(key) not in seen:
+        canon = key
+        if key[0] == "word":
+            _, c, zero, one, chi = key
+            sub = lambda k: key_id(k, table, seen)
+            if isinstance(chi, frozenset):
+                chi = frozenset((sub(k), count) for k, count in chi)
+            elif chi is not None:
+                chi = tuple(map(sub, chi))
+            canon = ("word", c, sub(zero), sub(one), chi)
+        seen[id(key)] = table.setdefault(canon, len(table))
+    return seen[id(key)]
+
+
+def test_crh_keys_match_the_factorization_keys():
+    rng = random.Random(2018)
+    ws = random_words(rng, 400, max_len=16)
+    for h in (GroupSpec.trivial(), GroupSpec.abelian(2), GroupSpec.all_groups()):
+        old_memo, shared, table = {}, {}, {}
+        old = [old_crh_key(w, h, old_memo) for w in ws]
+        new = [terms.crh_class_key(w, h, shared) for w in ws]
+        alone = [terms.crh_class_key(w, h) for w in ws]
+        seen = {}  # every key stays alive in the lists above, so ids are not reused
+        ids = [[key_id(k, table, seen) for k in keys] for keys in (old, new, alone)]
+        assert ids[0] == ids[1] == ids[2]
+        assert len(set(ids[0])) > len(ws) // 2 and set(shared) <= set(old_memo)
+        for (u, i), (v, j) in zip(zip(ws, ids[0]), zip(ws[1:], ids[0][1:])):
+            assert equal_in_crh(u, v, h, shared)[0] == (i == j) == equal_in_crh(u, v, h)[0]
+
+
+def test_crh_memo_belongs_to_the_caller():
+    triv = GroupSpec.trivial()
+    memo = {}
+    assert equal_in_crh("aab", "ab", triv, memo) == (True, None)
+    assert {("a", "a", "b"), ("a", "b"), ("a",), ("a", "a")} <= set(memo)
+    assert terms.crh_class_key("ab", triv, memo) is memo[("a", "b")]
+    seeded = {("a", "b"): "seeded"}
+    assert terms.crh_class_key("ab", triv, seeded) == "seeded"
+    assert equal_in_crh("ab", "ab", triv, seeded) == (True, None) and len(seeded) == 3
+
+
+def test_encode_visits_count_the_letters_encode_visits(monkeypatch):
+    rng = random.Random(2019)
+    encode = terms._encode
+    visits = []
+
+    def counting(ctx, term, n):
+        visits[-1] += isinstance(term, Letter)
+        return encode(ctx, term, n)
+
+    monkeypatch.setattr(terms, "_encode", counting)
+    for _ in range(300):
+        t, n = random_term(rng), rng.randint(1, 4)
+        visits.append(0)
+        try:
+            terms.debruijn_encode_term(t, n)
+        except TermTooShortError:
+            pass
+        assert visits[-1] == terms._encode_visits(t, n), (term_to_text(t), n)
+
+
+def test_vdn_rejects_costly_encodings_before_encoding(z2):
+    term = "a^w^w^w^w^w"
+    assert terms._unfolded_length(parse_term(term), 10) == terms._MAX_UNFOLDED
+    with pytest.raises(ValueError, match=f"visits 1048576 letters at n = 8, over the bound {terms._MAX_UNFOLDED}"):
+        terms.check_vdn(term, "aa", 8, z2)
+    assert terms.check_vdn(term, "aa", 1, z2).i_t_equal

@@ -11,6 +11,7 @@ from eggbox.words import (
     PreconditionViolatedError,
     Word,
 )
+from conftest import old_characteristic_sequence, random_words
 
 
 def test_prefix_suffix_content():
@@ -91,6 +92,18 @@ def test_lbf_marker_is_unique():
         assert hits == 1 and str(f.reassemble()) == w
 
 
+def test_basic_factorizations_match_their_definitions():
+    rng = random.Random(2020)
+    for w in random_words(rng, 300, max_len=20):
+        c = set(w)
+        left = [p for p in range(len(w)) if w[p] not in w[:p] and set(w[:p]) | {w[p]} == c]
+        right = [p for p in range(len(w)) if w[p] not in w[p + 1 :] and set(w[p + 1 :]) | {w[p]} == c]
+        assert words.marker_positions(w, c) == (left[0], right[0]) and len(left) == len(right) == 1
+        f, g = words.left_basic_factorization(w), words.right_basic_factorization(w)
+        assert (f.prefix.letters, f.marker, f.remainder.letters) == (w[: left[0]], w[left[0]], w[left[0] + 1 :])
+        assert (g.prefix.letters, g.marker, g.remainder.letters) == (w[: right[0]], w[right[0]], w[right[0] + 1 :])
+
+
 def test_zero_one_functions():
     assert tuple(map(str, words.zero_funcs("acaba"))) == ("aca", "b")
     assert tuple(map(str, words.one_funcs("acaba"))) == ("aba", "c")
@@ -164,6 +177,14 @@ def test_characteristic_sequence_against_oracle():
             continue
         got = [(str(f), s, e) for f, s, e in words.characteristic_sequence(w)]
         assert got == chi_oracle(w)
+
+
+def test_characteristic_sequence_matches_the_per_start_scan():
+    rng = random.Random(2016)
+    for w in random_words(rng, 1500, max_len=60):
+        assert words.characteristic_sequence(w) == old_characteristic_sequence(w), w
+        spans = words.characteristic_spans(w, len(set(w)))
+        assert [(s + 1, e) for s, e in spans] == [(s, e) for _, s, e in old_characteristic_sequence(w)]
 
 
 def test_characteristic_sequence_invariants():
