@@ -95,24 +95,39 @@ def cmd_analyze(args) -> int:
 
 # --- construct -------------------------------------------------------------------
 
+# Largest semigroup `construct` builds from size arguments (kp P, rees
+# --a/--b/--group z:N), checked before any table is built.
+MAX_CONSTRUCTED = 4096
+
+
+def _check_constructed_size(n: int, what: str) -> None:
+    if n > MAX_CONSTRUCTED:
+        raise core.BoundExceededError(f"{what} would have {n} elements, over the bound {MAX_CONSTRUCTED}")
+
+
 def _group_from_text(text: str) -> core.FiniteSemigroup:
     if text == "trivial":
         return core.trivial()
     if text.startswith("z:"):
-        return core.cyclic_group(int(text[2:]))
+        n = int(text[2:])
+        _check_constructed_size(n, f"Z{n}")
+        return core.cyclic_group(n)
     S, _ = _load_semigroup(text)
     return S
 
 
 def cmd_construct(args) -> int:
     if args.what == "kp":
-        S = constructions.k_p(int(args.args[0]))
+        p = int(args.args[0])
+        _check_constructed_size(4 * p, f"K_{p}")
+        S = constructions.k_p(p)
     elif args.what == "rees":
         group = _group_from_text(args.group)
+        ng = len(group)
+        _check_constructed_size(args.a * ng * args.b, f"M({args.a}, G, {args.b}; P) with |G| = {ng}")
         if args.sandwich:
             sandwich = green.sandwich_from_json(json.loads(args.sandwich))
         else:
-            constructions.check_rees_size(args.a, len(group), args.b)
             e = group.identity
             sandwich = [[e] * args.a for _ in range(args.b)]
         S = constructions.rees_matrix(args.a, group, args.b, sandwich)

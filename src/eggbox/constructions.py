@@ -15,7 +15,6 @@ from .core import (
     FiniteSemigroup,
     SemigroupError,
     adjoin_identity,
-    check_constructed_size,
     cyclic_group,
     direct_product,
     omega_power,
@@ -59,12 +58,6 @@ def _require_group(G: FiniteSemigroup) -> None:
             raise NotAGroupError(f"element {x} has no inverse")
 
 
-def check_rees_size(a_size: int, ng: int, b_size: int) -> None:
-    """BoundExceededError if M(A, G, B; P) would have more than
-    core.MAX_CONSTRUCTED elements."""
-    check_constructed_size(a_size * ng * b_size, f"M({a_size}, G, {b_size}; P) with |G| = {ng}")
-
-
 def rees_matrix(
     a_size: int,
     group: FiniteSemigroup,
@@ -79,9 +72,8 @@ def rees_matrix(
     """
     if a_size < 1 or b_size < 1:
         raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
-    ng = len(group)
-    check_rees_size(a_size, ng, b_size)
     _require_group(group)
+    ng = len(group)
     P = tuple(tuple(int(v) for v in row) for row in sandwich)
     if len(P) != b_size or any(len(row) != a_size for row in P):
         raise ShapeMismatchError(f"sandwich must be {b_size}x{a_size}")
@@ -127,7 +119,6 @@ def kp_rees(p: int) -> ReesMatrixSemigroup:
 
 def k_p(p: int) -> FiniteSemigroup:
     """The 4p-element completely simple semigroup M({0,1}, Z/p, {0,1}; [[0,0],[0,1]])."""
-    check_constructed_size(4 * p, f"K_{p}")
     return realize(kp_rees(p))
 
 

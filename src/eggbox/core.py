@@ -481,21 +481,9 @@ def u1() -> FiniteSemigroup:
     return from_function([0, 1], min)
 
 
-# Bound on the size of a semigroup built from size parameters (cyclic_group,
-# constructions.rees_matrix and constructions.k_p), checked arithmetically
-# before any table is built.
-MAX_CONSTRUCTED = 4096
-
-
-def check_constructed_size(n: int, what: str) -> None:
-    if n > MAX_CONSTRUCTED:
-        raise BoundExceededError(f"{what} would have {n} elements, over the bound {MAX_CONSTRUCTED}")
-
-
 def cyclic_group(n: int) -> FiniteSemigroup:
     if n < 1:
         raise SemigroupError("cyclic group order must be >= 1")
-    check_constructed_size(n, f"Z{n}")
     return from_function(range(n), lambda a, b: (a + b) % n)
 
 

@@ -323,7 +323,7 @@ def _hoist(term: Term, z: str, slots: dict) -> Term:
     return concat(parts)
 
 
-# Bound on the first-failure memo of one scan; when full it is emptied and
+# Bound on the set of passing keys of one scan; when full it is emptied and
 # refilled, which costs time but never changes the answer.
 _MAX_SCAN_KEYS = 1 << 16
 
@@ -335,7 +335,7 @@ def _first_failure(S: FiniteSemigroup, lhs: Term, rhs: Term, related):
     With z the last letter, both sides depend on the other letters only
     through the values of their maximal z-free subterms (the key). The scan
     walks the other letters in order and tries every z once per distinct
-    key, remembering the first failing z (or None).
+    key, remembering the keys for which every z passes.
     """
     lhs, rhs = _as_term(lhs), _as_term(rhs)
     variables = sorted(letters_of(lhs) | letters_of(rhs))
@@ -348,15 +348,17 @@ def _first_failure(S: FiniteSemigroup, lhs: Term, rhs: Term, related):
     inner_index[z] = len(slots)
     f, g = (_compile(t, S, inner_index) for t in sides)
     zs = range(len(S))
-    memo: dict = {}
+    passed: set = set()
     for values in itertools.product(zs, repeat=len(outer)):
         key = tuple([slot(values) for slot in keyed])
-        if key not in memo:
-            if len(memo) >= _MAX_SCAN_KEYS:
-                memo.clear()
-            memo[key] = next((x for x in zs if not related(f(v := key + (x,)), g(v))), None)
-        if memo[key] is not None:
-            return dict(zip(variables, values + (memo[key],)))
+        if key in passed:
+            continue
+        x = next((x for x in zs if not related(f(v := key + (x,)), g(v))), None)
+        if x is not None:
+            return dict(zip(variables, values + (x,)))
+        if len(passed) >= _MAX_SCAN_KEYS:
+            passed.clear()
+        passed.add(key)
     return None
 
 
@@ -688,7 +690,7 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
             else:
                 result = ("pow", a, j)
         else:
-            i, j = marker_positions(letters, c)
+            i, j = marker_positions(letters)
             zero_key = _crh_key(letters[:i], h, memo)
             one_key = _crh_key(letters[j + 1 :], h, memo)
             ids = tuple(
@@ -708,24 +710,21 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
     return result
 
 
-def equal_in_crh(u, v, h: GroupSpec, memo: Optional[dict] = None) -> tuple[bool, Optional[str]]:
+def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
     """Recursive equality of two finite words over the completely regular
     semigroups whose subgroups lie in h.
 
     Returns (equal, first failing condition), the condition being one of
-    "content", "zero", "one", "h". `memo`, if given, is a dict the caller
-    owns and passes again with the same h (never another GroupSpec), so
-    keys computed once are reused across calls.
+    "content", "zero", "one", "h".
     """
     u, v = coerce(u), coerce(v)
     if not u or not v:
         raise EmptyWordError("the word problem needs nonempty words")
-    c = content(u)
-    if c != content(v):
+    if content(u) != content(v):
         return False, "content"
-    memo = {} if memo is None else memo
+    memo: dict = {}
     u, v = u.letters, v.letters
-    (iu, ju), (iv, jv) = marker_positions(u, c), marker_positions(v, c)
+    (iu, ju), (iv, jv) = marker_positions(u), marker_positions(v)
     if _crh_key(u[:iu], h, memo) != _crh_key(v[:iv], h, memo):
         return False, "zero"
     if _crh_key(u[ju + 1 :], h, memo) != _crh_key(v[jv + 1 :], h, memo):
@@ -735,9 +734,6 @@ def equal_in_crh(u, v, h: GroupSpec, memo: Optional[dict] = None) -> tuple[bool,
     return True, None
 
 
-def crh_class_key(u, h: GroupSpec, memo: Optional[dict] = None):
-    """The canonical key of a word; equal keys mean equal over CR meet H-bar.
-
-    `memo` is as in equal_in_crh: a caller-owned dict, valid for one h.
-    """
-    return _crh_key(coerce(u).letters, h, {} if memo is None else memo)
+def crh_class_key(u, h: GroupSpec):
+    """The canonical key of a word; equal keys mean equal over CR meet H-bar."""
+    return _crh_key(coerce(u).letters, h, {})

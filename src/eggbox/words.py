@@ -130,12 +130,14 @@ class Factorization:
         return self.prefix * Word((self.marker,)) * self.remainder
 
 
-def marker_positions(letters: tuple[str, ...], c) -> tuple[int, int]:
-    """(i, j) for a nonempty word with content c: letters[i] is the letter
-    whose first occurrence comes last, letters[j] the one whose last
-    occurrence comes first."""
+def marker_positions(letters: tuple[str, ...]) -> tuple[int, int]:
+    """(i, j) for a nonempty word: letters[i] is the letter whose first
+    occurrence comes last, letters[j] the one whose last occurrence comes
+    first. dict.fromkeys keeps letters in order of first occurrence, so each
+    marker is its last key; O(len(letters))."""
     rev = letters[::-1]
-    return max(map(letters.index, c)), len(letters) - 1 - max(map(rev.index, c))
+    first, last = next(reversed(dict.fromkeys(letters))), next(reversed(dict.fromkeys(rev)))
+    return letters.index(first), len(letters) - 1 - rev.index(last)
 
 
 def left_basic_factorization(w: WordLike) -> Factorization:
@@ -146,7 +148,7 @@ def left_basic_factorization(w: WordLike) -> Factorization:
     w = coerce(w)
     if not w:
         raise EmptyWordError("left basic factorization needs a nonempty word")
-    pos, _ = marker_positions(w.letters, content(w))
+    pos, _ = marker_positions(w.letters)
     return Factorization(w[:pos], w.letters[pos], w[pos + 1 :])
 
 
@@ -155,7 +157,7 @@ def right_basic_factorization(w: WordLike) -> Factorization:
     w = coerce(w)
     if not w:
         raise EmptyWordError("right basic factorization needs a nonempty word")
-    _, pos = marker_positions(w.letters, content(w))
+    _, pos = marker_positions(w.letters)
     return Factorization(w[:pos], w.letters[pos], w[pos + 1 :])
 
 

@@ -191,6 +191,15 @@ def test_constructions_over_the_size_bound_exit_2(capsys, argv, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+def test_constructions_up_to_the_size_bound_are_built(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CONSTRUCTED", 12)
+    for argv in (["construct", "kp", "3"], ["construct", "rees", "--group", "z:3"]):
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and len(json.loads(out)["elements"]) == 12
+    for argv in (["construct", "kp", "5"], ["construct", "rees", "--group", "z:13"]):
+        assert run(capsys, argv)[0] == 2
+
+
 def test_check_vdn_needs_in(capsys):
     code, out, err = run(capsys, ["check", "vdn", "ab", "ab", "--n", "1"])
     assert (code, out) == (2, "")

@@ -30,33 +30,6 @@ def test_rees_matrix_errors(u1):
         cons.rees_matrix(2, core.cyclic_group(2), 2, [[0, 5], [0, 0]])
 
 
-def test_constructed_sizes_are_bounded_before_building():
-    bound = core.MAX_CONSTRUCTED
-    assert bound == 4096
-    with pytest.raises(core.BoundExceededError, match="K_1031 would have 4124 elements"):
-        cons.k_p(1031)
-    with pytest.raises(core.BoundExceededError, match=f"over the bound {bound}"):
-        cons.k_p(1000003)
-    with pytest.raises(core.BoundExceededError, match="Z4097 would have 4097 elements"):
-        core.cyclic_group(bound + 1)
-    sandwich = [[0] * 65 for _ in range(64)]
-    with pytest.raises(core.BoundExceededError, match=r"M\(65, G, 64; P\) with \|G\| = 1 would have 4160"):
-        cons.rees_matrix(65, core.trivial(), 64, sandwich)
-    with pytest.raises(core.BoundExceededError, match="would have 4160"):
-        cons.rees_matrix(65, core.u1(), 32, sandwich)  # before the group check
-
-
-
-def test_constructed_sizes_up_to_the_bound_are_built(monkeypatch):
-    monkeypatch.setattr(core, "MAX_CONSTRUCTED", 12)
-    assert len(cons.k_p(3)) == 12 and len(core.cyclic_group(12)) == 12
-    assert len(cons.rees_matrix(2, core.cyclic_group(3), 2, [[0, 0], [0, 1]])) == 12
-    with pytest.raises(core.BoundExceededError):
-        cons.k_p(5)
-    with pytest.raises(core.BoundExceededError):
-        cons.rees_matrix(13, core.trivial(), 1, [[0] * 13])
-
-
 def test_k2_idempotents(k2):
     assert len(k2) == 8
     # (a,g,b) is idempotent iff g equals the inverse of P(b,a)

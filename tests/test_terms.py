@@ -464,15 +464,16 @@ def test_satisfies_identity_symmetric():
 
 
 def crh_closure(letters, h):
-    """Class representatives closed under concatenation."""
+    """Class representatives closed under concatenation; one key memo is
+    shared by every word, as all are keyed over the same h."""
     memo: dict = {}
-    reps = {terms.crh_class_key(a, h, memo): a for a in letters}
+    reps = {terms._crh_key(tuple(a), h, memo): a for a in letters}
     while True:
         new = {}
         items = list(reps.values())
         for u in items:
             for v in items:
-                k = terms.crh_class_key(u + v, h, memo)
+                k = terms._crh_key(tuple(u + v), h, memo)
                 if k not in reps and k not in new:
                     new[k] = u + v
         if not new:
@@ -694,6 +695,20 @@ def test_keyed_scan_is_exact_when_its_memo_is_refilled(monkeypatch):
             assert terms._first_failure(S, lhs, rhs, operator.eq) == old_first_failure(S, lhs, rhs, operator.eq)
 
 
+def test_keyed_scan_tries_every_z_once_per_distinct_key():
+    S = core.full_transformation_monoid(3)
+    calls = []
+
+    def related(a, b):
+        calls.append(None)
+        return a == b
+
+    # two slots, xy and (xy)^w, whose key is fixed by the value of xy
+    assert terms._first_failure(S, "xyz(xy)^w", "x(yz)(xy)^w", related) is None
+    keys = {S.table[x][y] for x in range(len(S)) for y in range(len(S))}
+    assert len(calls) == len(S) * len(keys) < len(S) ** 3
+
+
 def test_keyed_scan_of_inequalities_matches_the_full_scan():
     from eggbox import order
 
@@ -784,25 +799,14 @@ def test_crh_keys_match_the_factorization_keys():
     for h in (GroupSpec.trivial(), GroupSpec.abelian(2), GroupSpec.all_groups()):
         old_memo, shared, table = {}, {}, {}
         old = [old_crh_key(w, h, old_memo) for w in ws]
-        new = [terms.crh_class_key(w, h, shared) for w in ws]
+        new = [terms._crh_key(w, h, shared) for w in ws]
         alone = [terms.crh_class_key(w, h) for w in ws]
         seen = {}  # every key stays alive in the lists above, so ids are not reused
         ids = [[key_id(k, table, seen) for k in keys] for keys in (old, new, alone)]
         assert ids[0] == ids[1] == ids[2]
         assert len(set(ids[0])) > len(ws) // 2 and set(shared) <= set(old_memo)
         for (u, i), (v, j) in zip(zip(ws, ids[0]), zip(ws[1:], ids[0][1:])):
-            assert equal_in_crh(u, v, h, shared)[0] == (i == j) == equal_in_crh(u, v, h)[0]
-
-
-def test_crh_memo_belongs_to_the_caller():
-    triv = GroupSpec.trivial()
-    memo = {}
-    assert equal_in_crh("aab", "ab", triv, memo) == (True, None)
-    assert {("a", "a", "b"), ("a", "b"), ("a",), ("a", "a")} <= set(memo)
-    assert terms.crh_class_key("ab", triv, memo) is memo[("a", "b")]
-    seeded = {("a", "b"): "seeded"}
-    assert terms.crh_class_key("ab", triv, seeded) == "seeded"
-    assert equal_in_crh("ab", "ab", triv, seeded) == (True, None) and len(seeded) == 3
+            assert equal_in_crh(u, v, h)[0] == (i == j)
 
 
 def test_encode_visits_count_the_letters_encode_visits(monkeypatch):

@@ -98,7 +98,7 @@ def test_basic_factorizations_match_their_definitions():
         c = set(w)
         left = [p for p in range(len(w)) if w[p] not in w[:p] and set(w[:p]) | {w[p]} == c]
         right = [p for p in range(len(w)) if w[p] not in w[p + 1 :] and set(w[p + 1 :]) | {w[p]} == c]
-        assert words.marker_positions(w, c) == (left[0], right[0]) and len(left) == len(right) == 1
+        assert words.marker_positions(w) == (left[0], right[0]) and len(left) == len(right) == 1
         f, g = words.left_basic_factorization(w), words.right_basic_factorization(w)
         assert (f.prefix.letters, f.marker, f.remainder.letters) == (w[: left[0]], w[left[0]], w[left[0] + 1 :])
         assert (g.prefix.letters, g.marker, g.remainder.letters) == (w[: right[0]], w[right[0]], w[right[0] + 1 :])
