@@ -163,6 +163,12 @@ def cmd_construct(args) -> int:
 
 # --- check ---------------------------------------------------------------------
 
+# Most distinct letters `check crh` accepts in a word, checked before any
+# keying: each CR key holds the content of its factor, so memory grows with
+# the cube of the content size.
+MAX_CRH_LETTERS = 128
+
+
 def cmd_check(args) -> int:
     if args.what in ("id", "ineq"):
         S, ordered_s = _load_semigroup(args.args[0])
@@ -187,6 +193,12 @@ def cmd_check(args) -> int:
         print(json.dumps({"member": False, "failing": failing}))
         return 1
     if args.what == "crh":
+        for word in args.args:
+            k = len(words.content(word))
+            if k > MAX_CRH_LETTERS:
+                raise core.BoundExceededError(
+                    f"check crh word has {k} distinct letters, over the bound {MAX_CRH_LETTERS}"
+                )
         h = terms.GroupSpec.from_text(args.h)
         equal, cond = terms.equal_in_crh(args.args[0], args.args[1], h)
         if equal:

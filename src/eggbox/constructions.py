@@ -82,9 +82,7 @@ def rees_matrix(
             if not 0 <= v < ng:
                 raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
 
-    def idx(a: int, g: int, b: int) -> int:
-        return (a * ng + g) * b_size + b
-
+    idx = rees_indexer(ng, b_size)
     triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
     tab = []
     for (a, g, b) in triples:
@@ -94,6 +92,12 @@ def rees_matrix(
         tab.append(tuple(row))
     labels = tuple(f"({a},{group.elements[g]},{b})" for (a, g, b) in triples)
     return FiniteSemigroup(labels, tuple(tab), None, None)
+
+
+def rees_indexer(ng: int, b_size: int) -> Callable[[int, int, int], int]:
+    """The index of (a, g, b) in rees_matrix's lexicographic element order,
+    for a group of order ng and b_size L-classes."""
+    return lambda a, g, b: (a * ng + g) * b_size + b
 
 
 def realize(rm: ReesMatrixSemigroup) -> FiniteSemigroup:

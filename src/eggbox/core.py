@@ -329,14 +329,19 @@ def _omega_tables(S: FiniteSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]
     return tuple(omega), tuple(minus_one)
 
 
+def omega_tables(S: FiniteSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The tables of x^w and x^(w-1), computed once per S."""
+    return S._derive("omega", _omega_tables)
+
+
 def omega_power(S: FiniteSemigroup, s: int) -> int:
     """The unique idempotent in the cyclic subsemigroup generated by s."""
-    return S._derive("omega", _omega_tables)[0][s]
+    return omega_tables(S)[0][s]
 
 
 def omega_minus_one(S: FiniteSemigroup, s: int) -> int:
     """Inverse of s*s^w in the maximal subgroup containing s^w."""
-    return S._derive("omega", _omega_tables)[1][s]
+    return omega_tables(S)[1][s]
 
 
 def adjoin_identity(S: FiniteSemigroup) -> FiniteSemigroup:

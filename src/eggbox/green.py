@@ -152,58 +152,39 @@ def rees_coordinatize(S: FiniteSemigroup) -> tuple[ReesMatrixSemigroup, tuple[tu
     if not is_completely_simple(S):
         raise NotCompletelySimpleError("semigroup is not completely simple")
     gs = green_structure(S)
-    n = len(S)
+    table = S.table
     e = min(S.idempotents())
+    r_e, l_e = gs.r_class[e], gs.l_class[e]
+    a_of = {c: i for i, c in enumerate(dict.fromkeys((r_e, *gs.r_class)))}
+    b_of = {c: i for i, c in enumerate(dict.fromkeys((l_e, *gs.l_class)))}
+    least: dict[tuple[int, int], int] = {}  # least member of each H-class
+    for x, rl in enumerate(zip(gs.r_class, gs.l_class)):
+        least.setdefault(rl, x)
 
-    def ordered_classes(assign, cls_e):
-        seen = [cls_e]
-        for x in range(n):
-            if assign[x] not in seen:
-                seen.append(assign[x])
-        return seen
-
-    a_classes = ordered_classes(gs.r_class, gs.r_class[e])
-    b_classes = ordered_classes(gs.l_class, gs.l_class[e])
-    a_of = {c: i for i, c in enumerate(a_classes)}
-    b_of = {c: i for i, c in enumerate(b_classes)}
-
-    h_members = sorted(x for x in range(n) if gs.h_class[x] == gs.h_class[e])
+    h_members = sorted(x for x, h in enumerate(gs.h_class) if h == gs.h_class[e])
     G = subsemigroup(S, h_members)
     g_of = {x: i for i, x in enumerate(h_members)}
 
-    def pick(r_cls, l_cls):
-        return min(
-            x for x in range(n) if gs.r_class[x] == r_cls and gs.l_class[x] == l_cls
-        )
-
     # r_a in R_a meet L_e, normalized so that e*r_a = e; q_b dual.
     r_reps = []
-    for cls in a_classes:
-        r = pick(cls, gs.l_class[e])
-        h = S.table[e][r]  # lies in H_e
-        r_reps.append(S.table[r][omega_minus_one(S, h)])
+    for cls in a_of:
+        r = least[cls, l_e]
+        r_reps.append(table[r][omega_minus_one(S, table[e][r])])
     q_reps = []
-    for cls in b_classes:
-        q = pick(gs.r_class[e], cls)
-        h = S.table[q][e]
-        q_reps.append(S.table[omega_minus_one(S, h)][q])
+    for cls in b_of:
+        q = least[r_e, cls]
+        q_reps.append(table[omega_minus_one(S, table[q][e])][q])
 
-    sandwich = tuple(
-        tuple(g_of[S.table[q][r]] for r in r_reps) for q in q_reps
-    )
+    sandwich = tuple(tuple(g_of[table[q][r]] for r in r_reps) for q in q_reps)
+    # s = r_a g q_b gives e s e = g, since e r_a = e = q_b e and g lies in H_e
     coords = []
-    for s in range(n):
-        a = a_of[gs.r_class[s]]
-        b = b_of[gs.l_class[s]]
-        g_found = None
-        for g in range(len(G)):
-            if S.table[S.table[r_reps[a]][h_members[g]]][q_reps[b]] == s:
-                g_found = g
-                break
-        if g_found is None:
+    for s in range(len(S)):
+        a, b = a_of[gs.r_class[s]], b_of[gs.l_class[s]]
+        g = table[table[e][s]][e]
+        if table[table[r_reps[a]][g]][q_reps[b]] != s:
             raise SemigroupError("Rees coordinates must cover every element")
-        coords.append((a, g_found, b))
-    rm = ReesMatrixSemigroup(len(a_classes), len(b_classes), G, sandwich)
+        coords.append((a, g_of[g], b))
+    rm = ReesMatrixSemigroup(len(a_of), len(b_of), G, sandwich)
     return rm, tuple(coords)
 
 

@@ -9,13 +9,13 @@ s -> (lam_s, rho_s) a homomorphism.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
     FiniteSemigroup,
     BoundExceededError,
     SemigroupError,
-    omega_power,
     opposite,
     generating_set,
     small_generating_set,
@@ -25,10 +25,11 @@ from .core import (
 from .green import (
     ReesMatrixSemigroup,
     NotCompletelySimpleError,
+    green_structure,
     is_completely_simple,
     kernel,
 )
-from .constructions import realize
+from .constructions import realize, rees_indexer
 
 
 @dataclass(frozen=True, order=True)
@@ -100,11 +101,8 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
     """
     A, B, G, P = rm.a_size, rm.b_size, rm.group, rm.sandwich
     ng = len(G)
-    S = realize(rm)
-    n = len(S)
-
-    def idx(a: int, g: int, b: int) -> int:
-        return (a * ng + g) * B + b
+    n = len(realize(rm))  # realize also checks the group and the sandwich
+    idx = rees_indexer(ng, B)
 
     rights = {}
     for psi in itertools.product(range(B), repeat=B):
@@ -190,21 +188,19 @@ def kernel_representation(S: FiniteSemigroup) -> KernelRepresentation:
 
 
 def classify(S: FiniteSemigroup) -> dict:
-    """LM / RM / GGM / WGGM flags of the action of S on its kernel."""
+    """LM / RM / GGM / WGGM flags of the action of S on its kernel.
+
+    WGGM fails exactly when some element outside the kernel shares its left
+    or its right action with another element.
+    """
     rep = kernel_representation(S)
     n = len(S)
-    lm = len(set(rep.lambda_of)) == n
-    rm = len(set(rep.rho_of)) == n
+    lams, rhos = Counter(rep.lambda_of), Counter(rep.rho_of)
     ker = set(rep.kernel)
-    wggm = True
-    for u in range(n):
-        for v in range(u + 1, n):
-            apart = rep.lambda_of[u] != rep.lambda_of[v] and rep.rho_of[u] != rep.rho_of[v]
-            if not (apart or (u in ker and v in ker)):
-                wggm = False
-                break
-        if not wggm:
-            break
+    wggm = all(
+        lams[rep.lambda_of[u]] == 1 and rhos[rep.rho_of[u]] == 1 for u in range(n) if u not in ker
+    )
+    lm, rm = len(lams) == n, len(rhos) == n
     return {"lm": lm, "rm": rm, "ggm": lm and rm, "wggm": wggm}
 
 
@@ -226,6 +222,10 @@ def torsion_checks(S: FiniteSemigroup) -> dict:
     """Torsion predicates of a completely simple semigroup.
 
     has_torsion: S is not a rectangular group, i.e. fails x y^w x^w = x.
+    That holds exactly when some product ef of idempotents is not idempotent:
+    at x = e, y = f the identity gives efe = e, so (ef)^2 = ef; conversely a
+    completely simple semigroup whose idempotents form a subsemigroup is a
+    rectangular group.
     full_torsion: at least two R- and two L-classes, and ef idempotent
     forces ef in {e, f}.
     plenty_left: for distinct R-equivalent idempotents e, f there is an
@@ -233,69 +233,36 @@ def torsion_checks(S: FiniteSemigroup) -> dict:
     """
     if not is_completely_simple(S):
         raise NotCompletelySimpleError("torsion predicates need a completely simple semigroup")
-    n = len(S)
+    gs = green_structure(S)
+    table = S.table
     idem = S.idempotents()
-    omega = [omega_power(S, x) for x in range(n)]
-
     has_torsion = False
-    for x in range(n):
-        if has_torsion:
-            break
-        row = S.table[x]
-        xw = omega[x]
-        for y in range(n):
-            if S.table[row[omega[y]]][xw] != x:
+    # every R- and L-class of a completely simple semigroup holds an idempotent
+    full = len(set(gs.r_class)) >= 2 and len(set(gs.l_class)) >= 2
+    for e in idem:
+        for f in idem:
+            ef = table[e][f]
+            if table[ef][ef] != ef:
                 has_torsion = True
-                break
+            elif ef != e and ef != f:
+                full = False
 
-    # for idempotents, e R f iff ef = f and fe = e (L dual); in a completely
-    # simple semigroup every element is R- and L-equivalent to its omega
-    # power, so class counts over idempotents are class counts over S
-    def r_eq(e, f):
-        return S.table[e][f] == f and S.table[f][e] == e
-
-    def l_eq(e, f):
-        return S.table[e][f] == e and S.table[f][e] == f
-
-    n_r = sum(1 for i, e in enumerate(idem) if not any(r_eq(e, f) for f in idem[:i]))
-    n_l = sum(1 for i, e in enumerate(idem) if not any(l_eq(e, f) for f in idem[:i]))
-
-    full = n_r >= 2 and n_l >= 2
-    if full:
-        for e in idem:
-            for f in idem:
-                ef = S.table[e][f]
-                if S.is_idempotent(ef) and ef not in (e, f):
-                    full = False
-                    break
-            if not full:
-                break
-
-    plenty_left = True
-    for e in idem:
-        for f in idem:
-            if e == f or not r_eq(e, f):
-                continue
-            if not any(S.table[f][g] != e for g in idem if l_eq(g, e)):
-                plenty_left = False
-                break
-        if not plenty_left:
-            break
-
-    plenty_right = True
-    for e in idem:
-        for f in idem:
-            if e == f or not l_eq(e, f):
-                continue
-            if not any(S.table[g][f] != e for g in idem if r_eq(g, e)):
-                plenty_right = False
-                break
-        if not plenty_right:
-            break
+    def plenty(same, other, prod) -> bool:
+        """For distinct idempotents e, f in one `same` class, some idempotent
+        g in the `other` class of e has prod(f, g) != e."""
+        by_other: dict[int, list[int]] = {}
+        for g in idem:
+            by_other.setdefault(other[g], []).append(g)
+        return all(
+            any(prod(f, g) != e for g in by_other[other[e]])
+            for e in idem
+            for f in idem
+            if f != e and same[f] == same[e]
+        )
 
     return {
         "has_torsion": has_torsion,
         "full_torsion": full,
-        "plenty_left": plenty_left,
-        "plenty_right": plenty_right,
+        "plenty_left": plenty(gs.r_class, gs.l_class, lambda f, g: table[f][g]),
+        "plenty_right": plenty(gs.l_class, gs.r_class, lambda f, g: table[g][f]),
     }

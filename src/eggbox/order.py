@@ -379,13 +379,16 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
                         incl[p][q] = False
                         changed = True
                         break
-    leq = [
+    # a stable partial order by construction: incl is reflexive and
+    # transitive and preserved by letters, and two transformations that
+    # include each other's languages everywhere are equal in a minimal DFA
+    leq = frozenset(
         (i, j)
         for i in range(size)
         for j in range(size)
         if all(incl[transforms[j][q]][transforms[i][q]] for q in range(nq))
-    ]
-    return ordered(S, leq), {a: pos[letter_tf[a]] for a in m.alphabet}
+    )
+    return OrderedSemigroup(S, leq), {a: pos[letter_tf[a]] for a in m.alphabet}
 
 
 def concat_letter(d: Dfa, a: str) -> Dfa:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .core import FiniteSemigroup, _omega_tables
+from .core import FiniteSemigroup, omega_tables
 from .words import (
     Word,
     EmptyWordError,
@@ -286,7 +286,7 @@ def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
     if isinstance(e, int):
         powers, k = range(len(S)), e - 1
     else:
-        omega, minus_one = S._derive("omega", _omega_tables)
+        omega, minus_one = omega_tables(S)
         powers, k = (minus_one, 0) if e.k == -1 else (omega, e.k)
     square = range(len(S))  # x^(2^i) at step i, so powers[x] ends as powers[x] x^k
     while k:

@@ -150,6 +150,16 @@ def test_check_crh(capsys):
     assert run(capsys, ["check", "crh", "aaa", "a", "--h", "groups"])[0] == 1
 
 
+def test_check_crh_bounds_the_distinct_letters(capsys):
+    many = "".join(chr(0x4E00 + i) for i in range(1200))
+    for u, v in [(many, many), ("ab", many)]:
+        code, out, err = run(capsys, ["check", "crh", u, v])
+        assert (code, out) == (2, "")
+        assert err == f"error: check crh word has 1200 distinct letters, over the bound {cli.MAX_CRH_LETTERS}\n"
+    at_bound = "".join(chr(0x4E00 + i) for i in range(cli.MAX_CRH_LETTERS))
+    assert run(capsys, ["check", "crh", at_bound, at_bound * 2])[0] == 0
+
+
 def test_check_vdn(tmp_path, capsys, z2):
     path = write_semigroup(tmp_path, "z2.json", z2)
     code, out, _ = run(capsys, ["check", "vdn", "(ab)^w", "(ab)^w ab", "--n", "1", "--in", path])

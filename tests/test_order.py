@@ -216,6 +216,26 @@ def test_syntactic_orders_are_valid_orders():
         order.ordered(os_.semigroup, os_.leq)
 
 
+def random_dfa(rng):
+    states = [f"q{i}" for i in range(rng.randint(1, 4))]
+    alphabet = ["a", "b", "c"][: rng.randint(1, 3)]
+    trans = {(q, a): rng.choice(states) for q in states for a in alphabet}
+    accepting = [q for q in states if rng.random() < 0.5]
+    return order.dfa(states, alphabet, trans, rng.choice(states), accepting)
+
+
+def test_syntactic_orders_of_random_dfas_pass_the_axiom_check():
+    # syntactic_semigroup builds its order without ordered(); the order must
+    # still be reflexive, antisymmetric, transitive and stable
+    rng = random.Random(23)
+    nontrivial = 0
+    for _ in range(100):
+        os_, _ = order.syntactic_semigroup(random_dfa(rng))
+        assert order.ordered(os_.semigroup, os_.leq) == os_
+        nontrivial += not os_.is_trivial()
+    assert nontrivial > 8
+
+
 def test_subword_order_shadow_on_shuffle_ideal():
     # L = A* a A* b A* is upward closed under superwords, so on its
     # J-trivial syntactic semigroup the subword seed pairs close into a
