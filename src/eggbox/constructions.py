@@ -8,7 +8,6 @@ products S x| T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     cyclic_group,
     direct_product,
     omega_power,
+    record,
     subsemigroup,
     _find_identity,
 )
@@ -126,7 +126,7 @@ def k_p(p: int) -> FiniteSemigroup:
     return realize(kp_rees(p))
 
 
-@dataclass(frozen=True)
+@record
 class SynthesisSemigroup:
     """M(S, T, f) = S + S^1 x T^1 x S^1 with multiplication threaded via f."""
 

@@ -10,8 +10,8 @@ instance, so each object is derived once per semigroup.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from operator import itemgetter
+import operator
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Mapping, Optional
 
 
@@ -49,7 +49,65 @@ class NotClosedError(SemigroupError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+def record(cls=None, *, order: bool = False):
+    """Class decorator for an immutable record: the fields are the names
+    annotated in the class body, in order, and a value there is a default.
+
+    Like `dataclasses.dataclass(frozen=True, order=order)`, but built from
+    closures, not generated source, so a CLI start-up imports no `dataclasses`
+    (nor `inspect`): __init__ (then __post_init__), a `Name(field=value, ...)`
+    __repr__, field-wise __eq__ and __hash__ (and comparisons with `order`),
+    and __setattr__/__delattr__ raising AttributeError; a method the class
+    defines itself is kept.
+    """
+    if cls is None:
+        return lambda cls: record(cls, order=order)
+    name, fields = cls.__name__, tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    get = attrgetter(*fields)
+    key = get if len(fields) > 1 else lambda self: (get(self),)
+    post_init, setter = getattr(cls, "__post_init__", None), object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(fields):
+            given = {**dict(zip(fields, args)), **kwargs}  # loses extra or repeated ones
+            values = {**defaults, **given}
+            if len(given) < len(args) + len(kwargs) or values.keys() != set(fields):
+                raise TypeError(f"{name}({', '.join(fields)}) called with {len(args)} "
+                                f"positional arguments and the keywords {list(kwargs)}")
+            args = [values[f] for f in fields]
+        for f, value in zip(fields, args):
+            setter(self, f, value)  # unlike a write to __dict__, keeps attribute reads fast
+        if post_init is not None:
+            post_init(self)
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(fields, key(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def frozen(self, attr, *value):
+        raise AttributeError(f"cannot assign to or delete field {attr!r} of a {name}")
+
+    def compare(op):
+        def method(self, other):
+            if other.__class__ is self.__class__:
+                return op(key(self), key(other))
+            return NotImplemented
+        return method
+
+    methods = dict(__init__=__init__, __repr__=__repr__, __setattr__=frozen, __delattr__=frozen,
+                   __match_args__=fields, __eq__=compare(operator.eq),
+                   __hash__=lambda self: hash(key(self)))
+    if order:
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            methods[f"__{op.__name__}__"] = compare(op)
+    for attr, value in methods.items():
+        if attr not in cls.__dict__:
+            setattr(cls, attr, value)
+    return cls
+
+
+@record
 class FiniteSemigroup:
     """A finite semigroup given by its multiplication table.
 
@@ -62,9 +120,10 @@ class FiniteSemigroup:
     table: tuple[tuple[int, ...], ...]
     generators: Optional[dict[str, int]] = None
     identity: Optional[int] = None
-    # Created at construction so the instance layout never changes afterwards
-    # (a key added to __dict__ later slows every attribute read in hot loops).
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        # made here so the layout never changes (a later key slows attribute reads)
+        object.__setattr__(self, "_derived", {})
 
     def _derive(self, name: str, compute: Callable[["FiniteSemigroup"], object]):
         """compute(self), evaluated once and kept under `name`."""
@@ -308,24 +367,26 @@ def cycle_index_period(S: FiniteSemigroup, s: int) -> tuple[int, int]:
 
 
 def _omega_tables(S: FiniteSemigroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """x^w and x^(w-1) for every x, from one power-cycle walk per element.
-
-    The powers s^tail .. s^L form a cyclic group of order `period` whose
-    identity is s^m, the multiple of the period in that range; the inverse of
-    s*s^w = s^(m+1) is s^(m+period-1), reduced into the cycle.
+    """x^w and x^(w-1) for every x, from one walk of the powers of each s no
+    earlier walk reached: s^tail .. s^L form a cyclic group of order `period`
+    whose identity s^m is the multiple of the period in that range. Every
+    power x = s^e has x^w = s^m, and x^(w-1), the inverse of x*x^w = s^(m+e)
+    there, is s^(m + ((m - e) mod period)) reduced into the cycle.
     """
-    omega, minus_one = [], []
+    omega, minus_one = [-1] * len(S), [-1] * len(S)
     for s in range(len(S)):
+        if omega[s] >= 0:
+            continue
         seen, rep = _cycle_of(S, s)
         powers = list(seen)  # powers[e - 1] = s^e
         tail = seen[rep]
         period = len(powers) + 1 - tail
         m = period * ((tail + period - 1) // period)
-        q = m + period - 1
-        if q > len(powers):
-            q -= period
-        omega.append(powers[m - 1])
-        minus_one.append(powers[q - 1])
+        for e, x in enumerate(powers, 1):
+            q = m + (m - e) % period
+            if q > len(powers):
+                q -= period
+            omega[x], minus_one[x] = powers[m - 1], powers[q - 1]
     return tuple(omega), tuple(minus_one)
 
 

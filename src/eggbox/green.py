@@ -6,7 +6,6 @@ assigned in order of least member, which keeps everything deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .core import (
@@ -14,6 +13,7 @@ from .core import (
     SemigroupError,
     adjoin_identity,
     omega_minus_one,
+    record,
     subsemigroup,
     _is_int,
     _require_list,
@@ -30,7 +30,7 @@ class NotIdempotentError(SemigroupError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class GreenStructure:
     r_class: tuple[int, ...]
     l_class: tuple[int, ...]
@@ -48,7 +48,7 @@ class GreenStructure:
         return [out[c] for c in sorted(out)]
 
 
-@dataclass(frozen=True)
+@record
 class ReesMatrixSemigroup:
     """Coordinatized completely simple semigroup M(A, G, B; P).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (
     FiniteSemigroup,
@@ -18,6 +18,7 @@ from .core import (
     SemigroupError,
     opposite,
     generating_set,
+    record,
     small_generating_set,
     _extend_on_generators,
     _find_identity,
@@ -32,7 +33,7 @@ from .green import (
 from .constructions import realize, rees_indexer
 
 
-@dataclass(frozen=True, order=True)
+@record(order=True)
 class Bitranslation:
     lam: tuple[int, ...]
     rho: tuple[int, ...]
@@ -169,7 +170,7 @@ def hull_monoid(hull) -> tuple[FiniteSemigroup, list[Bitranslation]]:
     return FiniteSemigroup(labels, tuple(tab), None, _find_identity(tuple(tab))), items
 
 
-@dataclass(frozen=True)
+@record
 class KernelRepresentation:
     """Left and right action of every element on the minimum ideal."""
 
@@ -191,15 +192,16 @@ def classify(S: FiniteSemigroup) -> dict:
     """LM / RM / GGM / WGGM flags of the action of S on its kernel.
 
     WGGM fails exactly when some element outside the kernel shares its left
-    or its right action with another element.
+    or its right action with another element. Actions are only counted, so
+    each is read unnumbered off a row (s k)_k or column (k s)_k of the table.
     """
-    rep = kernel_representation(S)
+    ker = kernel(S)
     n = len(S)
-    lams, rhos = Counter(rep.lambda_of), Counter(rep.rho_of)
-    ker = set(rep.kernel)
-    wggm = all(
-        lams[rep.lambda_of[u]] == 1 and rhos[rep.rho_of[u]] == 1 for u in range(n) if u not in ker
-    )
+    on_kernel = itemgetter(*ker)
+    left = list(map(on_kernel, S.table))
+    right = list(map(on_kernel, zip(*S.table)))
+    lams, rhos = Counter(left), Counter(right)
+    wggm = all(lams[left[u]] == 1 and rhos[right[u]] == 1 for u in range(n) if u not in ker)
     lm, rm = len(lams) == n, len(rhos) == n
     return {"lm": lm, "rm": rm, "ggm": lm and rm, "wggm": wggm}
 

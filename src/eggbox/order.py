@@ -10,7 +10,6 @@ is both necessary and sufficient.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Optional
 
 from .core import (
@@ -18,6 +17,7 @@ from .core import (
     FiniteSemigroup,
     SemigroupError,
     UnknownLetterError,
+    record,
     _require_list,
 )
 from .hull import classify
@@ -27,7 +27,7 @@ class OrderError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@record
 class OrderedSemigroup:
     semigroup: FiniteSemigroup
     leq: frozenset[tuple[int, int]]
@@ -243,7 +243,7 @@ def order_dual(os: OrderedSemigroup) -> OrderedSemigroup:
 
 # --- DFAs and the syntactic ordered semigroup ----------------------------------
 
-@dataclass(frozen=True)
+@record
 class Dfa:
     states: tuple[str, ...]
     alphabet: tuple[str, ...]

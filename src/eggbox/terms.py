@@ -11,10 +11,9 @@ import itertools
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
-from .core import FiniteSemigroup, omega_tables
+from .core import FiniteSemigroup, omega_tables, record
 from .words import (
     Word,
     EmptyWordError,
@@ -45,7 +44,7 @@ class TermTooShortError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class OmegaExp:
     """Exponent w+k; k = 0 is the omega power itself, k = -1 its inverse."""
 
@@ -56,12 +55,12 @@ class OmegaExp:
             raise ValueError("omega exponents below w-1 are not supported")
 
 
-@dataclass(frozen=True)
+@record
 class Letter:
     ch: str
 
 
-@dataclass(frozen=True)
+@record
 class Concat:
     parts: tuple  # length >= 2, no nested Concat
 
@@ -70,7 +69,7 @@ class Concat:
             raise ValueError("Concat needs >= 2 parts with no nesting; use concat()")
 
 
-@dataclass(frozen=True)
+@record
 class Power:
     base: "Term"
     exp: Union[int, OmegaExp]
@@ -632,7 +631,7 @@ def check_vdn(u: Term, v: Term, n: int, T: FiniteSemigroup) -> VdnResult:
 
 # --- the recursive CR meet H-bar word problem -----------------------------------
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     """The group parameter of the completely regular word problem."""
 
@@ -693,18 +692,15 @@ def _crh_key(letters: tuple[str, ...], h: GroupSpec, memo: dict):
             i, j = marker_positions(letters)
             zero_key = _crh_key(letters[:i], h, memo)
             one_key = _crh_key(letters[j + 1 :], h, memo)
-            ids = tuple(
-                _crh_key(letters[s:e], h, memo) for s, e in characteristic_spans(letters, len(c))
-            )
-            if h.kind == "trivial":
-                chi_part = None
-            elif h.kind == "abelian":
-                counts = Counter(ids)
-                chi_part = frozenset(
-                    (i, cnt % h.n) for i, cnt in counts.items() if cnt % h.n != 0
-                )
-            else:
-                chi_part = ids
+            chi_part = None  # in bands the key is content, 0 and 1 alone
+            if h.kind != "trivial":
+                spans = characteristic_spans(letters, len(c))
+                ids = tuple(_crh_key(letters[s:e], h, memo) for s, e in spans)
+                if h.kind == "abelian":
+                    counts = Counter(ids)
+                    chi_part = frozenset((i, k % h.n) for i, k in counts.items() if k % h.n)
+                else:
+                    chi_part = ids
             result = ("word", c, zero_key, one_key, chi_part)
     memo[letters] = result
     return result

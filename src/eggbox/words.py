@@ -8,8 +8,9 @@ reported to callers are 1-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
+
+from .core import record
 
 
 class WordError(ValueError):
@@ -32,7 +33,7 @@ class AvoidSetTooLargeError(WordError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Word:
     letters: tuple[str, ...] = ()
 
@@ -120,7 +121,7 @@ def valid_debruijn_encoding(w: WordLike, n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     prefix: Word
     marker: str

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eggbox import core
+from eggbox import constructions, core
 from eggbox.core import (
     BoundExceededError,
     GeneratorsDoNotGenerateError,
@@ -437,3 +437,45 @@ def test_wl_classes_stop_when_only_the_numbering_changes():
     ]
     S = core.validate(map(str, range(12)), table)
     assert core.is_isomorphic(S, S) == tuple(range(12))
+
+
+def old_omega_tables(S):
+    """core._omega_tables as it was, walking the power cycle of every element."""
+    omega, minus_one = [], []
+    for s in range(len(S)):
+        seen, rep = core._cycle_of(S, s)
+        powers = list(seen)  # powers[e - 1] = s^e
+        tail = seen[rep]
+        period = len(powers) + 1 - tail
+        m = period * ((tail + period - 1) // period)
+        q = m + period - 1
+        if q > len(powers):
+            q -= period
+        omega.append(powers[m - 1])
+        minus_one.append(powers[q - 1])
+    return tuple(omega), tuple(minus_one)
+
+
+def monogenic(index, period):
+    """<a | a^(index + period) = a^index>, element e standing for a^e."""
+    top = index + period - 1
+    reduce = lambda e: e if e <= top else index + (e - index) % period
+    return core.from_function(range(1, top + 1), lambda e, f: reduce(e + f))
+
+
+def test_omega_tables_match_a_walk_from_every_element():
+    rng = random.Random(310)
+    cases = [random_transformation_semigroup(rng, max_size=150) for _ in range(30)]
+    cases += [constructions.k_p(p) for p in (2, 3, 5, 7, 11)]
+    cases += [monogenic(i, p) for i in range(1, 6) for p in range(1, 7)]
+    cases += list(small_library().values())
+    for S in cases:
+        assert core._omega_tables(S) == old_omega_tables(S)
+
+
+def test_omega_tables_skip_elements_an_earlier_walk_reached(monkeypatch):
+    walk = core._cycle_of
+    walked = []
+    monkeypatch.setattr(core, "_cycle_of", lambda S, s: walked.append(s) or walk(S, s))
+    core._omega_tables(core.cyclic_group(12))  # 1 generates, 0 is its own cycle
+    assert walked == [0, 1]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -456,3 +457,31 @@ def test_translations_and_hull_match_the_all_pairs_check():
                 assert hull._linked(S, lam, rho) == old_linked(S, lam, rho)
         old_hull = {hull.Bitranslation(l, r) for l in lams for r in rhos if old_linked(S, l, r)}
         assert hull.enumerate_hull(S) == old_hull
+
+
+def numbered_classify(S):
+    """hull.classify as it was, counting the numbered actions of
+    kernel_representation."""
+    rep = hull.kernel_representation(S)
+    n = len(S)
+    lams, rhos = Counter(rep.lambda_of), Counter(rep.rho_of)
+    ker = set(rep.kernel)
+    wggm = all(
+        lams[rep.lambda_of[u]] == 1 and rhos[rep.rho_of[u]] == 1 for u in range(n) if u not in ker
+    )
+    lm, rm = len(lams) == n, len(rhos) == n
+    return {"lm": lm, "rm": rm, "ggm": lm and rm, "wggm": wggm}
+
+
+def test_classify_matches_the_numbered_kernel_actions():
+    rng = random.Random(181)
+    cases = [random_transformation_semigroup(rng, max_size=250) for _ in range(30)]
+    for _ in range(20):
+        a, b = rng.randint(1, 4), rng.randint(1, 4)
+        G = core.cyclic_group(rng.randint(1, 4))
+        R = cons.rees_matrix(a, G, b, [[rng.randrange(len(G)) for _ in range(a)] for _ in range(b)])
+        cases += [R, core.adjoin_new_identity(R)]
+    cases += [cons.k_p(p) for p in (2, 3, 5)]
+    for S in cases:
+        assert hull.classify(S) == numbered_classify(S)
+    assert len({tuple(hull.classify(S).values()) for S in cases}) >= 3

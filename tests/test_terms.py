@@ -835,3 +835,30 @@ def test_vdn_rejects_costly_encodings_before_encoding(z2):
     with pytest.raises(ValueError, match=f"visits 1048576 letters at n = 8, over the bound {terms._MAX_UNFOLDED}"):
         terms.check_vdn(term, "aa", 8, z2)
     assert terms.check_vdn(term, "aa", 1, z2).i_t_equal
+
+
+def test_trivial_crh_keys_key_only_the_zero_and_one_parts():
+    """Over bands (trivial H) a key is content, 0-part and 1-part alone, so
+    keying a word fills the memo with the words its 0/1 cuts reach, at most
+    2^|content| - 1 of them whatever the length, and with no factor of the
+    characteristic sequence."""
+    rng = random.Random(5000)
+    h = GroupSpec.trivial()
+    for k in (2, 3, 5, 8):
+        letters = tuple(rng.choice("abcdefgh"[:k]) for _ in range(5000))
+        memo = {}
+        terms._crh_key(letters, h, memo)
+        reached, todo = {letters}, [letters]
+        for u in todo:
+            if len(set(u)) > 1:
+                for cut in (
+                    words.left_basic_factorization(u).prefix.letters,
+                    words.right_basic_factorization(u).remainder.letters,
+                ):
+                    if cut not in reached:
+                        reached.add(cut)
+                        todo.append(cut)
+        assert set(memo) == reached
+        assert len(memo) < 2**k
+        short = letters[:300]
+        assert terms.crh_class_key(short, h) == old_crh_key(short, h, {})
