@@ -7,6 +7,7 @@ idempotent power and x^(w-1) to the group inverse of x x^w.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import re
@@ -19,7 +20,6 @@ from .words import (
     EmptyWordError,
     characteristic_spans,
     coerce,
-    content,
     i_n,
     marker_positions,
     t_n,
@@ -258,30 +258,10 @@ def term_to_text(t: Term) -> str:
 
 # --- evaluation and satisfaction ----------------------------------------------
 
-def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
-    """`term` as a function of a value tuple v, letter ch being v[index[ch]].
-
-    Concatenation reads S.table. Each power reads a table of x^e for all x,
-    built here once by repeated squaring (omega powers start from the cached
-    omega tables).
-    """
+def _power_table(S: FiniteSemigroup, e: Union[int, OmegaExp]):
+    """x^e for every x of S, by repeated squaring (omega powers start from
+    the cached omega tables)."""
     table = S.table
-    if isinstance(term, Letter):
-        if term.ch not in index:
-            raise UnassignedLetterError(f"letter {term.ch!r} is unassigned")
-        return operator.itemgetter(index[term.ch])
-    if isinstance(term, Concat):
-        first, *rest = [_compile(p, S, index) for p in term.parts]
-
-        def product(v):
-            acc = first(v)
-            for f in rest:
-                acc = table[acc][f(v)]
-            return acc
-
-        return product
-    base = _compile(term.base, S, index)
-    e = term.exp
     if isinstance(e, int):
         powers, k = range(len(S)), e - 1
     else:
@@ -293,13 +273,71 @@ def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
             powers = [table[p][s] for p, s in zip(powers, square)]
         square = [table[s][s] for s in square]
         k >>= 1
-    return lambda v: powers[base(v)]
+    return powers
+
+
+class _Program:
+    """A straight-line program over S computing terms in the given letters.
+
+    A register holds an element or, if the program has a letter z, a row:
+    the values for z = 0, ..., n-1. The letters hold the first registers,
+    z last. Each step (f, a, b) appends f(register a, register b): a product
+    of an element and a row reads a table row, of a row and an element a
+    column of the transposed table, of two rows both pairwise; a power reads
+    its power table. Structurally equal subterms share one register.
+    """
+
+    def __init__(self, S: FiniteSemigroup, letters, z=None):
+        self.S, self.steps, self._columns = S, [], None
+        self.registers = {Letter(ch): i for i, ch in enumerate(letters)}
+        self.rows = [False] * len(self.registers)  # per register: is it a row?
+        if z is not None:
+            self.registers[Letter(z)] = len(self.rows)
+            self.rows.append(True)
+
+    def _step(self, f, a: int, b: int, row: bool) -> int:
+        self.steps.append((f, a, b))
+        self.rows.append(row)
+        return len(self.rows) - 1
+
+    def _product(self, a: int, b: int) -> int:
+        table = self.S.table
+        if self.rows[a] and self.rows[b]:
+            return self._step(lambda V, W: list(map(operator.getitem, map(table.__getitem__, V), W)), a, b, True)
+        if self.rows[b]:
+            return self._step(lambda p, W: list(map(table[p].__getitem__, W)), a, b, True)
+        if self.rows[a]:
+            columns = self._columns = self._columns or list(zip(*table))
+            return self._step(lambda V, q: list(map(columns[q].__getitem__, V)), a, b, True)
+        return self._step(lambda p, q: table[p][q], a, b, False)
+
+    def add(self, term: Term) -> int:
+        """The register holding `term`, after the steps that compute it."""
+        if term not in self.registers:
+            if isinstance(term, Letter):
+                raise UnassignedLetterError(f"letter {term.ch!r} is unassigned")
+            if isinstance(term, Concat):
+                self.registers[term] = functools.reduce(self._product, map(self.add, term.parts))
+            else:
+                base, powers = self.add(term.base), _power_table(self.S, term.exp)
+                row = self.rows[base]
+                f = (lambda V, _: list(map(powers.__getitem__, V))) if row else (lambda p, _: powers[p])
+                self.registers[term] = self._step(f, base, base, row)
+        return self.registers[term]
+
+    def run(self, values, outputs) -> tuple:
+        """The values of the `outputs` registers, the letters (in order, z
+        last) taking `values`."""
+        registers = list(values)
+        for f, a, b in self.steps:
+            registers.append(f(registers[a], registers[b]))
+        return tuple(map(registers.__getitem__, outputs))
 
 
 def evaluate(term: Term, S: FiniteSemigroup, assignment: Mapping[str, int]) -> int:
     """The value of `term` in S; UnassignedLetterError if a letter has no value."""
-    index = {ch: i for i, ch in enumerate(assignment)}
-    return _compile(term, S, index)(tuple(assignment.values()))
+    program = _Program(S, assignment)
+    return program.run(assignment.values(), [program.add(term)])[0]
 
 
 def _hoist(term: Term, z: str, slots: dict) -> Term:
@@ -333,27 +371,29 @@ def _first_failure(S: FiniteSemigroup, lhs: Term, rhs: Term, related):
 
     With z the last letter, both sides depend on the other letters only
     through the values of their maximal z-free subterms (the key). The scan
-    walks the other letters in order and tries every z once per distinct
-    key, remembering the keys for which every z passes.
+    walks the other letters in order and, once per distinct key, computes
+    both sides as rows over every z, remembering the keys for which every z
+    passes.
     """
     lhs, rhs = _as_term(lhs), _as_term(rhs)
     variables = sorted(letters_of(lhs) | letters_of(rhs))
     *outer, z = variables
     slots: dict = {}
-    sides = [_hoist(t, z, slots) for t in (lhs, rhs)]
-    outer_index = {ch: i for i, ch in enumerate(outer)}
-    keyed = [_compile(t, S, outer_index) for t in slots]
-    inner_index = {i: i for i in range(len(slots))}
-    inner_index[z] = len(slots)
-    f, g = (_compile(t, S, inner_index) for t in sides)
+    hoisted = [_hoist(t, z, slots) for t in (lhs, rhs)]
+    keys = _Program(S, outer)
+    key_registers = [keys.add(t) for t in slots]
+    rows = _Program(S, range(len(slots)), z)
+    sides = [rows.add(t) for t in hoisted]
     zs = range(len(S))
     passed: set = set()
     for values in itertools.product(zs, repeat=len(outer)):
-        key = tuple([slot(values) for slot in keyed])
+        key = keys.run(values, key_registers)
         if key in passed:
             continue
-        x = next((x for x in zs if not related(f(v := key + (x,)), g(v))), None)
-        if x is not None:
+        # a side without z is one slot, the same for every z
+        f, g = ([r] * len(zs) if isinstance(r, int) else r for r in rows.run(key + (zs,), sides))
+        if not all(map(related, f, g)):
+            x = next(x for x in zs if not related(f[x], g[x]))
             return dict(zip(variables, values + (x,)))
         if len(passed) >= _MAX_SCAN_KEYS:
             passed.clear()
@@ -711,21 +751,24 @@ def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
     semigroups whose subgroups lie in h.
 
     Returns (equal, first failing condition), the condition being one of
-    "content", "zero", "one", "h".
+    "content", "zero", "one", "h". Over all groups CR meet H-bar is CR, in
+    which two words are equal only if identical (A+ embeds in the free
+    group, which is completely regular), so the words themselves are
+    compared in place of their keys.
     """
-    u, v = coerce(u), coerce(v)
+    u, v = coerce(u).letters, coerce(v).letters
     if not u or not v:
         raise EmptyWordError("the word problem needs nonempty words")
-    if content(u) != content(v):
+    if set(u) != set(v):
         return False, "content"
     memo: dict = {}
-    u, v = u.letters, v.letters
+    key = tuple if h.kind == "groups" else lambda letters: _crh_key(letters, h, memo)
     (iu, ju), (iv, jv) = marker_positions(u), marker_positions(v)
-    if _crh_key(u[:iu], h, memo) != _crh_key(v[:iv], h, memo):
+    if key(u[:iu]) != key(v[:iv]):
         return False, "zero"
-    if _crh_key(u[ju + 1 :], h, memo) != _crh_key(v[jv + 1 :], h, memo):
+    if key(u[ju + 1 :]) != key(v[jv + 1 :]):
         return False, "one"
-    if _crh_key(u, h, memo) != _crh_key(v, h, memo):
+    if key(u) != key(v):
         return False, "h"
     return True, None
 

@@ -2,10 +2,12 @@ import itertools
 import operator
 import random
 from collections import Counter
+from typing import Mapping
 
 import pytest
 
 from eggbox import core, constructions as cons, terms, words
+from eggbox.core import FiniteSemigroup, omega_tables
 from eggbox.terms import (
     Concat,
     GroupSpec,
@@ -13,6 +15,7 @@ from eggbox.terms import (
     OmegaExp,
     Power,
     TermSyntaxError,
+    Term,
     TermTooShortError,
     UnassignedLetterError,
     UnknownPseudovarietyError,
@@ -596,17 +599,19 @@ def test_power_tables_match_the_sequential_product():
         for _ in range(6):
             e = rng.randint(1, 3 * n)
             k = rng.randint(1, 3 * n)
-            power = terms._compile(Power(Letter("x"), e), S, {"x": 0})
-            omega_plus = terms._compile(Power(Letter("x"), OmegaExp(k)), S, {"x": 0})
+            power = _compile(Power(Letter("x"), e), S, {"x": 0})
+            omega_plus = _compile(Power(Letter("x"), OmegaExp(k)), S, {"x": 0})
+            power_table = terms._power_table(S, e)
+            omega_plus_table = terms._power_table(S, OmegaExp(k))
             for x in range(n):
                 acc = x
                 for _ in range(e - 1):
                     acc = S.table[acc][x]
-                assert power((x,)) == acc
+                assert power((x,)) == power_table[x] == acc
                 acc = core.omega_power(S, x)
                 for _ in range(k):
                     acc = S.table[acc][x]
-                assert omega_plus((x,)) == acc
+                assert omega_plus((x,)) == omega_plus_table[x] == acc
 
 
 def test_huge_exponents_are_evaluated_without_unfolding(z2):
@@ -631,12 +636,52 @@ def test_vdn_rejects_long_unfoldings_before_unfolding(u1):
 
 # --- the keyed scan and the linear CR keys against the code they replaced -----
 
+# terms._compile as it was before the scan computed rows: a term as nested
+# closures, called once per assignment.
+def _compile(term: Term, S: FiniteSemigroup, index: Mapping[str, int]):
+    """`term` as a function of a value tuple v, letter ch being v[index[ch]].
+
+    Concatenation reads S.table. Each power reads a table of x^e for all x,
+    built here once by repeated squaring (omega powers start from the cached
+    omega tables).
+    """
+    table = S.table
+    if isinstance(term, Letter):
+        if term.ch not in index:
+            raise UnassignedLetterError(f"letter {term.ch!r} is unassigned")
+        return operator.itemgetter(index[term.ch])
+    if isinstance(term, Concat):
+        first, *rest = [_compile(p, S, index) for p in term.parts]
+
+        def product(v):
+            acc = first(v)
+            for f in rest:
+                acc = table[acc][f(v)]
+            return acc
+
+        return product
+    base = _compile(term.base, S, index)
+    e = term.exp
+    if isinstance(e, int):
+        powers, k = range(len(S)), e - 1
+    else:
+        omega, minus_one = omega_tables(S)
+        powers, k = (minus_one, 0) if e.k == -1 else (omega, e.k)
+    square = range(len(S))  # x^(2^i) at step i, so powers[x] ends as powers[x] x^k
+    while k:
+        if k & 1:
+            powers = [table[p][s] for p, s in zip(powers, square)]
+        square = [table[s][s] for s in square]
+        k >>= 1
+    return lambda v: powers[base(v)]
+
+
 def old_first_failure(S, lhs, rhs, related):
     """terms._first_failure before the scan was keyed: every assignment."""
     lhs, rhs = terms._as_term(lhs), terms._as_term(rhs)
     variables = sorted(terms.letters_of(lhs) | terms.letters_of(rhs))
     index = {ch: i for i, ch in enumerate(variables)}
-    f, g = terms._compile(lhs, S, index), terms._compile(rhs, S, index)
+    f, g = _compile(lhs, S, index), _compile(rhs, S, index)
     for values in itertools.product(range(len(S)), repeat=len(variables)):
         if not related(f(values), g(values)):
             return dict(zip(variables, values))
@@ -862,3 +907,102 @@ def test_trivial_crh_keys_key_only_the_zero_and_one_parts():
         assert len(memo) < 2**k
         short = letters[:300]
         assert terms.crh_class_key(short, h) == old_crh_key(short, h, {})
+
+
+# --- the row program and the all-groups CR shortcut -----------------------------
+
+def test_row_program_computes_equal_subterms_once(monkeypatch):
+    """In (xy)^w (xy)^w = (xy)^w with z = y, both sides read one power step."""
+    S = core.full_transformation_monoid(3)
+    power_tables = []
+    power_table = terms._power_table
+    monkeypatch.setattr(terms, "_power_table", lambda S, e: power_tables.append(e) or power_table(S, e))
+    texts = ("(xy)^w (xy)^w", "(xy)^w")
+    slots = {}
+    hoisted = [terms._hoist(parse_term(t), "y", slots) for t in texts]
+    program = terms._Program(S, range(len(slots)), "y")
+    f, g = (program.add(t) for t in hoisted)
+    # x y, its omega power, and the product of that power with itself
+    assert power_tables == [OmegaExp(0)] and len(program.steps) == 3
+    assert program.steps[1][1:] == (2, 2) and program.steps[2][1:] == (g, g) == (3, 3) and f == 4
+    for x in range(len(S)):
+        rows = program.run((x, range(len(S))), [f, g])
+        for y in range(len(S)):
+            assert [row[y] for row in rows] == [oracle_evaluate(parse_term(t), S, {"x": x, "y": y}) for t in texts]
+
+
+def one_sided_pairs(rng):
+    """Pairs in which the last letter z is on one side only, or is a whole side."""
+    pool = [random_term(rng, depth=1) for _ in range(3)]
+    without_z = term_with_repeats(rng, pool, "xy")
+    with_z = terms.concat([term_with_repeats(rng, pool, "xyz"), Letter("z"), term_with_repeats(rng, pool, "xy")])
+    with_z = Power(with_z, rng.choice([1, 2, OmegaExp(0), OmegaExp(-1)])) if rng.random() < 0.5 else with_z
+    z = Letter("z")
+    return [(without_z, with_z), (with_z, without_z), (z, with_z), (with_z, z), (z, without_z), (without_z, z), (z, z)]
+
+
+def test_row_scan_matches_the_full_scan_when_z_is_on_one_side():
+    from eggbox import order
+
+    rng = random.Random(2026)
+    identities = inequalities = failed = 0
+    for _ in range(40):
+        S = random_transformation_semigroup(rng, max_size=rng.choice([8, 14]))
+        ordered = order.enumerate_stable_orders(S, limit=2) if len(S) <= 8 else []
+        for lhs, rhs in one_sided_pairs(rng):
+            want = old_first_failure(S, lhs, rhs, operator.eq)
+            assert terms.satisfies_identity(S, lhs, rhs) == (want is None, want), (term_to_text(lhs), term_to_text(rhs))
+            identities += 1
+            failed += want is not None
+            for os_ in ordered:
+                want = old_first_failure(S, lhs, rhs, lambda a, b: (a, b) in os_.leq)
+                assert terms.satisfies_inequality(os_, lhs, rhs) == (want is None, want)
+                inequalities += 1
+    assert identities == 280 and inequalities > 50 and 0.3 < failed / identities < 0.95
+
+
+CRH_CONDITIONS = ("content", "zero", "one", "h")
+
+
+def crh_parts(w, h, memo, table, seen):
+    """What equal_in_crh compares, in order: the content, then the class keys
+    (as ints) of the 0-part, the 1-part and the whole word."""
+    parts = (
+        words.left_basic_factorization(w).prefix.letters,
+        words.right_basic_factorization(w).remainder.letters,
+        w,
+    )
+    return (frozenset(w), *(key_id(terms._crh_key(p, h, memo), table, seen) for p in parts))
+
+
+def crh_verdict(parts_u, parts_v):
+    """equal_in_crh's (equal, first failing condition) from crh_parts."""
+    for a, b, condition in zip(parts_u, parts_v, CRH_CONDITIONS):
+        if a != b:
+            return False, condition
+    return True, None
+
+
+def test_all_groups_word_problem_compares_words():
+    h = GroupSpec.all_groups()
+    memo, table, seen = {}, {}, {}  # memo keeps every key alive, so ids are not reused
+    parts = lambda w: crh_parts(w, h, memo, table, seen)
+    ws = [words.Word(p) for k in range(1, 7) for p in itertools.product("abc", repeat=k)]
+    keyed = [parts(w.letters) for w in ws]
+    verdicts = Counter()
+    for u, ku in zip(ws, keyed):
+        want = [crh_verdict(ku, kv) for kv in keyed]
+        assert [equal_in_crh(u, v, h) for v in ws] == want, u
+        verdicts.update(condition for _, condition in want)
+    assert verdicts[None] == len(ws) and min(verdicts.values()) > 1000
+    rng = random.Random(6000)
+    long_words = [tuple(rng.choice("abcd"[: rng.randint(2, 4)]) for _ in range(rng.randint(50, 2000))) for _ in range(200)]
+    for u, other in zip(long_words, long_words[1:] + long_words[:1]):
+        i = rng.randrange(len(u))
+        ku = parts(u)
+        for v in (u, u[:i] + (rng.choice(u),) + u[i + 1 :], other):
+            assert equal_in_crh(u, v, h) == crh_verdict(ku, parts(v))
+    wide = tuple(chr(0x4E00 + i) for i in range(1200))
+    assert equal_in_crh(wide + wide, wide + wide, h) == (True, None)
+    assert equal_in_crh(wide, wide[::-1], h) == (False, "zero")
+    assert equal_in_crh(wide + wide[:1], wide + wide[1:2], h) == (False, "one")
