@@ -28,8 +28,28 @@ def _load_semigroup(path: str):
     S = core.from_dict(obj)
     ordered = None
     if "order" in obj and obj["order"] is not None:
+        core._require_list(obj["order"], "order", _is_pair, "a list of two integers")
         ordered = order.ordered(S, [tuple(p) for p in obj["order"]])
     return S, ordered
+
+
+def _is_pair(value) -> bool:
+    return type(value) is list and len(value) == 2 and all(map(core._is_int, value))
+
+
+def _read_map(obj, what: str, keys, read) -> list:
+    """read(obj[k]) for each label k in keys; an error names the entry, as in f['b']."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    values = []
+    for k in keys:
+        if k not in obj:
+            raise ValueError(f"{what}[{k!r}] is missing")
+        try:
+            values.append(read(obj[k]))
+        except core.SemigroupError as exc:
+            raise ValueError(f"{what}[{k!r}]: {exc}") from None
+    return values
 
 
 def _emit(args, obj, text_lines=None) -> None:
@@ -134,20 +154,19 @@ def cmd_construct(args) -> int:
     elif args.what == "synthesis":
         s_part, _ = _load_semigroup(args.args[0])
         t_part, _ = _load_semigroup(args.args[1])
-        fobj = _load_json(args.args[2])
         s1 = core.adjoin_identity(s_part)
         t1 = core.adjoin_identity(t_part)
-        fmap = [t1.index_of(fobj[s1.elements[i]]) for i in range(len(s1))]
+        fmap = _read_map(_load_json(args.args[2]), "f", s1.elements, t1.index_of)
         S = constructions.synthesis(s_part, t_part, fmap).carrier
     elif args.what == "semidirect":
         s_part, _ = _load_semigroup(args.args[0])
         t_part, _ = _load_semigroup(args.args[1])
-        aobj = _load_json(args.args[2])
-        action = {
-            t: tuple(s_part.index_of(lbl) for lbl in aobj[t_part.elements[t]])
-            for t in range(len(t_part))
-        }
-        S = constructions.semidirect_product(s_part, t_part, action)
+        def image(value):
+            if type(value) is not list:
+                raise core.SemigroupError(f"must be a list of labels, got {value!r}")
+            return tuple(map(s_part.index_of, value))
+        images = _read_map(_load_json(args.args[2]), "action", t_part.elements, image)
+        S = constructions.semidirect_product(s_part, t_part, dict(enumerate(images)))
     elif args.what == "product":
         a, _ = _load_semigroup(args.args[0])
         b, _ = _load_semigroup(args.args[1])

@@ -16,10 +16,10 @@ from .core import (
     adjoin_identity,
     cyclic_group,
     direct_product,
+    from_function,
     omega_power,
     record,
     subsemigroup,
-    _find_identity,
 )
 from .green import ReesMatrixSemigroup
 
@@ -82,16 +82,12 @@ def rees_matrix(
             if not 0 <= v < ng:
                 raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
 
-    idx = rees_indexer(ng, b_size)
+    mul = group.table
     triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
-    tab = []
-    for (a, g, b) in triples:
-        row = [0] * len(triples)
-        for (a2, g2, b2) in triples:
-            row[idx(a2, g2, b2)] = idx(a, group.table[group.table[g][P[b][a2]]][g2], b2)
-        tab.append(tuple(row))
-    labels = tuple(f"({a},{group.elements[g]},{b})" for (a, g, b) in triples)
-    return FiniteSemigroup(labels, tuple(tab), None, None)
+    labels = [f"({a},{group.elements[g]},{b})" for (a, g, b) in triples]
+    return from_function(
+        triples, lambda x, y: (x[0], mul[mul[x[1]][P[x[2]][y[0]]]][y[1]], y[2]), labels
+    )
 
 
 def rees_indexer(ng: int, b_size: int) -> Callable[[int, int, int], int]:
@@ -210,7 +206,7 @@ def synthesis(
     if len(set(labels)) != size:
         raise SemigroupError("duplicate element labels")
     tab = tuple(map(tuple, tab))
-    carrier = FiniteSemigroup(labels, tab, None, _find_identity(tab))
+    carrier = FiniteSemigroup(labels, tab)
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
 
@@ -295,4 +291,4 @@ def semidirect_product(
         for (s1, t1) in pairs
     )
     labels = tuple(f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs)
-    return FiniteSemigroup(labels, tab, None, _find_identity(tab))
+    return FiniteSemigroup(labels, tab)

@@ -2,9 +2,9 @@
 
 Elements are referenced by index into a fixed ordering; labels are for I/O
 only, so all algebra stays integer-only. Instances are immutable after
-construction and safe to share. Data derived from the table (omega tables,
-Green structure, generating set) is computed on first use and kept on the
-instance, so each object is derived once per semigroup.
+construction and safe to share. Data derived from the table (identity,
+omega tables, Green structure, generating set) is computed on first use and
+kept on the instance, so each object is derived once per semigroup.
 """
 
 from __future__ import annotations
@@ -113,13 +113,12 @@ class FiniteSemigroup:
 
     Construct untrusted data through :func:`validate`; the raw constructor
     trusts its arguments (used by the construction helpers, whose tables are
-    associative by design).
+    associative by design). The identity is read from the table, not given.
     """
 
     elements: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     generators: Optional[dict[str, int]] = None
-    identity: Optional[int] = None
 
     def __post_init__(self):
         # made here so the layout never changes (a later key slows attribute reads)
@@ -132,18 +131,16 @@ class FiniteSemigroup:
             derived[name] = compute(self)
         return derived[name]
 
+    @property
+    def identity(self) -> Optional[int]:
+        """The neutral element, or None; found once per semigroup."""
+        return self._derive("identity", lambda S: _find_identity(S.table))
+
     def __len__(self) -> int:
         return len(self.elements)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def prod(self, indices: Iterable[int]) -> int:
-        it = iter(indices)
-        acc = next(it)
-        for x in it:
-            acc = self.table[acc][x]
-        return acc
 
     def power(self, i: int, k: int) -> int:
         if k < 1:
@@ -213,7 +210,7 @@ def validate(
     greedy = _generating_set(tab)
     _check_associative(tab, greedy)
     gens = dict(generators) if generators is not None else None
-    semi = FiniteSemigroup(elems, tab, gens, _find_identity(tab))
+    semi = FiniteSemigroup(elems, tab, gens)
     semi._derive("gens", lambda _: greedy)
     if gens is not None:
         for name, idx in gens.items():
@@ -340,7 +337,7 @@ def subsemigroup(S: FiniteSemigroup, indices: Iterable[int]) -> FiniteSemigroup:
             if S.table[x][y] not in pos:
                 raise NotClosedError(f"subset not closed: {x}*{y} escapes")
     tab = tuple(tuple(pos[S.table[x][y]] for y in keep) for x in keep)
-    return FiniteSemigroup(tuple(S.elements[x] for x in keep), tab, None, _find_identity(tab))
+    return FiniteSemigroup(tuple(S.elements[x] for x in keep), tab)
 
 
 def _cycle_of(S: FiniteSemigroup, s: int) -> tuple[dict[int, int], int]:
@@ -419,7 +416,7 @@ def adjoin_new_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     while label in S.elements:
         label += "'"
     tab = tuple(tuple(S.table[i]) + (i,) for i in range(n)) + (tuple(range(n + 1)),)
-    return FiniteSemigroup(S.elements + (label,), tab, None, n)
+    return FiniteSemigroup(S.elements + (label,), tab)
 
 
 def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
@@ -429,10 +426,7 @@ def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
         tuple(pos[(S.table[i][x], T.table[j][y])] for (x, y) in pairs) for (i, j) in pairs
     )
     labels = tuple(f"({S.elements[i]},{T.elements[j]})" for (i, j) in pairs)
-    ident = None
-    if S.identity is not None and T.identity is not None:
-        ident = pos[(S.identity, T.identity)]
-    return FiniteSemigroup(labels, tab, None, ident)
+    return FiniteSemigroup(labels, tab)
 
 
 def evaluate_word(S: FiniteSemigroup, gen_map: Mapping[str, int], word) -> int:
@@ -535,11 +529,11 @@ def from_function(values, op, labels=None) -> FiniteSemigroup:
     pos = {v: i for i, v in enumerate(vals)}
     tab = tuple(tuple(pos[op(x, y)] for y in vals) for x in vals)
     elems = tuple(labels) if labels is not None else tuple(str(v) for v in vals)
-    return FiniteSemigroup(elems, tab, None, _find_identity(tab))
+    return FiniteSemigroup(elems, tab)
 
 
 def trivial() -> FiniteSemigroup:
-    return FiniteSemigroup(("e",), ((0,),), None, 0)
+    return FiniteSemigroup(("e",), ((0,),))
 
 
 def u1() -> FiniteSemigroup:
@@ -571,7 +565,7 @@ def null_semigroup(n: int = 2) -> FiniteSemigroup:
     labels = [f"a{i}" for i in range(1, n)] + ["0"]
     zero = n - 1
     tab = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-    return FiniteSemigroup(tuple(labels), tab, None, None)
+    return FiniteSemigroup(tuple(labels), tab)
 
 
 def full_transformation_monoid(n: int, act_on_right: bool = False) -> FiniteSemigroup:
@@ -587,7 +581,7 @@ def full_transformation_monoid(n: int, act_on_right: bool = False) -> FiniteSemi
 
 def opposite(S: FiniteSemigroup) -> FiniteSemigroup:
     tab = tuple(tuple(S.table[j][i] for j in range(len(S))) for i in range(len(S)))
-    return FiniteSemigroup(S.elements, tab, S.generators, S.identity)
+    return FiniteSemigroup(S.elements, tab, S.generators)
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -40,13 +40,6 @@ class GreenStructure:
     kernel_class: int
     regular: tuple[bool, ...]  # indexed by J-class id
 
-    def classes(self, kind: str) -> list[list[int]]:
-        assign = {"R": self.r_class, "L": self.l_class, "J": self.j_class, "H": self.h_class}[kind]
-        out: dict[int, list[int]] = {}
-        for x, c in enumerate(assign):
-            out.setdefault(c, []).append(x)
-        return [out[c] for c in sorted(out)]
-
 
 @record
 class ReesMatrixSemigroup:

@@ -21,7 +21,6 @@ from .core import (
     record,
     small_generating_set,
     _extend_on_generators,
-    _find_identity,
 )
 from .green import (
     ReesMatrixSemigroup,
@@ -167,7 +166,7 @@ def hull_monoid(hull) -> tuple[FiniteSemigroup, list[Bitranslation]]:
             row.append(pos[z])
         tab.append(tuple(row))
     labels = tuple(f"b{i}" for i in range(len(items)))
-    return FiniteSemigroup(labels, tuple(tab), None, _find_identity(tuple(tab))), items
+    return FiniteSemigroup(labels, tuple(tab)), items
 
 
 @record

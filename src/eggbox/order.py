@@ -187,8 +187,9 @@ def enumerate_stable_orders(
 
     Every stable order is reached from the trivial one by repeatedly closing
     over one extra pair, so a breadth-first search over closures is
-    exhaustive. Without a limit the carrier is capped at 6 elements. Seeds
-    that fail on the trivial order (and their reverses) fail on every base.
+    exhaustive. A limit k stops it at the k-th order found; without one the
+    carrier is capped at 6 elements. Seeds that fail on the trivial order
+    (and their reverses) fail on every base.
     """
     n = len(S)
     if limit is None and n > 6:
@@ -199,24 +200,21 @@ def enumerate_stable_orders(
     seen = {trivial}
     queue = deque([trivial])
     bad: set[tuple[int, int]] = set()
-    full = limit is not None and len(seen) >= limit
-    while queue and not full:
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    while queue and len(seen) != limit:
         base = queue.popleft()
-        for s in range(n):
-            for t in range(n):
-                if s == t or (s, t) in base or (s, t) in bad:
-                    continue
-                rel = _stable_order(S, (s, t), bad, base)
-                if rel is None:
-                    if base is trivial:
-                        bad.update(((s, t), (t, s)))
-                elif rel not in seen:
-                    seen.add(rel)
-                    queue.append(rel)
-                    if limit is not None and len(seen) >= limit:
-                        full = True
-            if full:
-                break
+        for s, t in pairs:
+            if (s, t) in base or (s, t) in bad:
+                continue
+            rel = _stable_order(S, (s, t), bad, base)
+            if rel is None:
+                if base is trivial:
+                    bad.update(((s, t), (t, s)))
+            elif rel not in seen:
+                seen.add(rel)
+                queue.append(rel)
+                if len(seen) == limit:
+                    break
     return [OrderedSemigroup(S, rel) for rel in sorted(seen, key=sorted)]
 
 

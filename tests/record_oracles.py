@@ -26,7 +26,6 @@ class FiniteSemigroup:
     elements: tuple[str, ...]
     table: tuple[tuple[int, ...], ...]
     generators: Optional[dict[str, int]] = None
-    identity: Optional[int] = None
     # Created at construction so the instance layout never changes afterwards
     # (a key added to __dict__ later slows every attribute read in hot loops).
     _derived: dict = field(default_factory=dict, init=False, repr=False)

@@ -290,6 +290,71 @@ def test_rees_and_dfa_json_are_strict(tmp_path, capsys, command, doc, message):
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
+U1_JSON = {"elements": ["0", "1"], "table": [[0, 0], [0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "order_field, message",
+    [
+        (5, "order must be a list"),
+        ([5], "order[0] must be a list of two integers, got 5"),
+        ([[0, 1.0]], "order[0] must be a list of two integers, got [0, 1.0]"),
+        ([[0, 1], [True, False]], "order[1] must be a list of two integers, got [True, False]"),
+        ([[0, 1, 1]], "order[0] must be a list of two integers, got [0, 1, 1]"),
+    ],
+    ids=["int-order", "flat-order", "float-pair", "bool-pair", "triple"],
+)
+def test_order_field_is_strict(tmp_path, capsys, order_field, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(U1_JSON, order=order_field)))
+    code, out, err = run(capsys, ["check", "ineq", str(p), "xy", "y"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "what, doc, message",
+    [
+        ("synthesis", ["0", "1"], "f must be a JSON object, got list"),
+        ("synthesis", {"0": "0"}, "f['1'] is missing"),
+        ("synthesis", {"0": "0", "1": "x"}, "f['1']: no element labeled 'x'"),
+        ("semidirect", "x", "action must be a JSON object, got str"),
+        ("semidirect", {"0": 5, "1": 5}, "action['0']: must be a list of labels, got 5"),
+        ("semidirect", {"0": ["0", "1"]}, "action['1'] is missing"),
+        ("semidirect", {"0": ["0", "1"], "1": ["0", "y"]}, "action['1']: no element labeled 'y'"),
+    ],
+    ids=["list-f", "missing-f", "unknown-f", "string-action", "int-action", "missing-action",
+         "unknown-action"],
+)
+def test_construction_maps_are_strict(tmp_path, capsys, what, doc, message):
+    p = tmp_path / "u1.json"
+    p.write_text(json.dumps(U1_JSON))
+    m = tmp_path / "map.json"
+    m.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["construct", what, str(p), str(p), str(m)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_construct_rees_1x1_writes_its_identity(capsys):
+    code, out, _ = run(capsys, ["construct", "rees", "--a", "1", "--b", "1", "--group", "z:3"])
+    assert code == 0 and json.loads(out)["identity"] == 0
+    code, out, _ = run(capsys, ["construct", "rees", "--a", "1", "--b", "1", "--sandwich", "[[1]]",
+                                "--group", "z:3"])
+    assert code == 0 and json.loads(out)["identity"] == 2
+
+
+def test_syntactic_monoid_writes_its_identity(tmp_path, capsys):
+    # a swaps p and q and b fixes both, so b is the identity
+    d = order.dfa(["p", "q"], ["a", "b"],
+                  {("p", "a"): "q", ("q", "a"): "p", ("p", "b"): "p", ("q", "b"): "q"}, "p", ["p"])
+    path = tmp_path / "dfa.json"
+    path.write_text(json.dumps(order.dfa_to_dict(d)))
+    code, out, _ = run(capsys, ["syntactic", str(path)])
+    obj = json.loads(out)
+    assert code == 0 and obj["elements"][obj["identity"]] == "b"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -376,6 +441,16 @@ def test_orders_command(tmp_path, capsys, lz2):
     path = write_semigroup(tmp_path, "lz2.json", lz2)
     code, out, _ = run(capsys, ["orders", path])
     assert code == 0 and json.loads(out)["count"] == 3
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 5])
+def test_orders_limit_is_a_cap(tmp_path, capsys, rb22, limit):
+    path = write_semigroup(tmp_path, "rb22.json", rb22)
+    code, out, _ = run(capsys, ["orders", path, "--limit", str(limit)])
+    obj = json.loads(out)
+    assert code == 0 and obj["count"] == len(obj["orders"]) <= limit
+    code, out, _ = run(capsys, ["orders", path])
+    assert json.loads(out)["count"] > 5
 
 
 def test_jobs_flag(tmp_path, capsys, z3):

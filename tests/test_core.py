@@ -218,7 +218,7 @@ def old_validate(elements, table, generators=None):
                 if row_ij[k] != row_i[row_j[k]]:
                     raise NonAssociativeError(i, j, k)
     gens = dict(generators) if generators is not None else None
-    semi = core.FiniteSemigroup(elems, tab, gens, core._find_identity(tab))
+    semi = core.FiniteSemigroup(elems, tab, gens)
     if gens is not None:
         for name, idx in gens.items():
             if not 0 <= idx < n:

@@ -63,7 +63,7 @@ def calls(ns, rng):
     def semigroup_fields():
         S = core.cyclic_group(rng.randint(1, 2))
         gens = {"x": S.table[0][0]} if rng.random() < 0.5 else None
-        return [S.elements, S.table, gens, S.identity]
+        return [S.elements, S.table, gens]
 
     def semigroup():
         return ns.FiniteSemigroup(*semigroup_fields())
@@ -221,7 +221,8 @@ def test_defaults_and_keywords():
     assert RECORDS.OmegaExp() == RECORDS.OmegaExp(k=0)
     assert RECORDS.GroupSpec(kind="abelian", n=4) == RECORDS.GroupSpec("abelian", 4)
     S = RECORDS.FiniteSemigroup(table=((0,),), elements=("e",))
-    assert (S.generators, S.identity, S._derived) == (None, None, {})
-    assert list(vars(S)) == ["elements", "table", "generators", "identity", "_derived"]
+    assert (S.generators, S._derived) == (None, {})
+    assert list(vars(S)) == ["elements", "table", "generators", "_derived"]
+    assert (S.identity, S._derived) == (0, {"identity": 0})  # derived, not a field
     assert RECORDS.FiniteSemigroup(("e",), ((0,),))._derived is not S._derived
     assert RECORDS.Bitranslation.__match_args__ == ("lam", "rho")
