@@ -612,7 +612,8 @@ def _is_int(v) -> bool:
 
 def from_dict(obj: Mapping) -> FiniteSemigroup:
     """Semigroup from its JSON object: 'elements' a list of strings, 'table'
-    a list of lists of ints, 'generators' (optional) a dict from str to int.
+    a list of lists of ints, 'generators' (optional) a dict from str to int,
+    'identity' (optional) the int index of the neutral element or null.
     Errors name the offending path, e.g. table[1][0] or generators['x']."""
     if not isinstance(obj, Mapping) or "elements" not in obj or "table" not in obj:
         raise SemigroupError("semigroup JSON needs 'elements' and 'table'")
@@ -628,7 +629,10 @@ def from_dict(obj: Mapping) -> FiniteSemigroup:
         for name, idx in gens.items():
             if not isinstance(name, str) or not _is_int(idx):
                 raise SemigroupError(f"generators[{name!r}] must be an integer, got {idx!r}")
+    identity = obj.get("identity")
+    if identity is not None and not _is_int(identity):
+        raise SemigroupError(f"identity must be an integer or null, got {identity!r}")
     S = validate(elements, table, gens)
-    if "identity" in obj and obj["identity"] is not None and S.identity != obj["identity"]:
-        raise SemigroupError(f"declared identity {obj['identity']} is not neutral")
+    if identity is not None and S.identity != identity:
+        raise SemigroupError(f"declared identity {identity} is not neutral")
     return S

@@ -32,20 +32,14 @@ class OrderedSemigroup:
     semigroup: FiniteSemigroup
     leq: frozenset[tuple[int, int]]
 
-    def __eq__(self, other):
-        if not isinstance(other, OrderedSemigroup):
-            return NotImplemented
-        return self.semigroup == other.semigroup and self.leq == other.leq
-
-    def __hash__(self):
-        return hash((self.semigroup, self.leq))
-
     def is_trivial(self) -> bool:
         return all(a == b for a, b in self.leq)
 
 
 def ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> OrderedSemigroup:
-    """Build an OrderedSemigroup, verifying all order axioms and stability."""
+    """Build an OrderedSemigroup, verifying all order axioms and stability:
+    a reflexive antisymmetric relation is a stable order exactly when its
+    stable closure adds no pair (the error names the least pair it adds)."""
     n = len(S)
     leq = {(int(a), int(b)) for a, b in pairs} | {(x, x) for x in range(n)}
     for a, b in leq:
@@ -53,16 +47,10 @@ def ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> OrderedSemi
             raise OrderError(f"pair ({a},{b}) out of range")
         if a != b and (b, a) in leq:
             raise OrderError(f"not antisymmetric at ({a},{b})")
-    for a, b in leq:
-        for c, d in leq:
-            if b == c and (a, d) not in leq:
-                raise OrderError(f"not transitive: ({a},{b}) and ({c},{d})")
-    for a, b in leq:
-        for u in range(n):
-            if (S.table[u][a], S.table[u][b]) not in leq:
-                raise OrderError(f"not left stable at u={u}, pair ({a},{b})")
-            if (S.table[a][u], S.table[b][u]) not in leq:
-                raise OrderError(f"not right stable at u={u}, pair ({a},{b})")
+    added = stable_closure(S, leq)[0] - leq
+    if added:
+        a, b = min(added)
+        raise OrderError(f"not transitive and stable: its stable closure adds ({a},{b})")
     return OrderedSemigroup(S, frozenset(leq))
 
 
@@ -254,6 +242,9 @@ def dfa(states, alphabet, transition, initial, accepting) -> Dfa:
     states = tuple(states)
     alphabet = tuple(alphabet)
     trans = dict(transition)
+    for a in alphabet:
+        if not a or "[" in a or "]" in a:
+            raise SemigroupError(f"letter {a!r} must be nonempty and contain no '[' or ']'")
     if initial not in states:
         raise SemigroupError(f"initial state {initial!r} unknown")
     for q in accepting:
@@ -286,70 +277,64 @@ def _complete_and_trim(d: Dfa) -> Dfa:
     return Dfa(states, d.alphabet, trans, d.initial, d.accepting & set(states))
 
 
-def _minimize(d: Dfa) -> Dfa:
-    d = _complete_and_trim(d)
-    block = {q: (q in d.accepting) for q in d.states}
-    while True:
-        sig = {
-            q: (block[q],) + tuple(block[d.transition[(q, a)]] for a in d.alphabet)
-            for q in d.states
-        }
-        ids: dict = {}
-        for q in d.states:
-            ids.setdefault(sig[q], len(ids))
-        new_block = {q: ids[sig[q]] for q in d.states}
-        if len(set(new_block.values())) == len(set(block.values())):
-            block = new_block
-            break
-        block = new_block
-    reps: dict[int, str] = {}
-    for q in d.states:
-        reps.setdefault(block[q], q)
-    states = tuple(f"c{c}" for c in sorted(reps))
-    trans = {
-        (f"c{c}", a): f"c{block[d.transition[(reps[c], a)]]}"
-        for c in sorted(reps)
-        for a in d.alphabet
-    }
-    accepting = frozenset(f"c{c}" for c, q in reps.items() if q in d.accepting)
-    return Dfa(states, d.alphabet, trans, f"c{block[d.initial]}", accepting)
-
-
 def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
     """The syntactic ordered semigroup of the language of a DFA.
 
-    Elements are the state transformations of the minimized DFA induced by
-    nonempty words; u <= v holds when every context accepting v accepts u.
-    Returns the ordered semigroup (element labels are shortest witness
-    words) and the map from letters to element indices.
+    States of the trimmed DFA that include each other's languages merge into
+    one class, a state of the minimal DFA. Elements are the class
+    transformations induced by nonempty words; u <= v holds when every
+    context accepting v accepts u. Returns the ordered semigroup (labels are
+    shortest witness words, a multi-character letter in brackets as in
+    terms.term_to_text) and the map from letters to element indices.
     """
-    m = _minimize(d)
-    idx = {q: i for i, q in enumerate(m.states)}
-    nq = len(m.states)
-    letter_tf = {
-        a: tuple(idx[m.transition[(q, a)]] for q in m.states) for a in m.alphabet
-    }
+    t = _complete_and_trim(d)
+    idx = {q: i for i, q in enumerate(t.states)}
+    step = {a: [idx[t.transition[(q, a)]] for q in t.states] for a in t.alphabet}
+
+    # incl[p][q]: every word accepted from p is accepted from q
+    n = len(t.states)
+    acc = [q in t.accepting for q in t.states]
+    incl = [[not (acc[p] and not acc[q]) for q in range(n)] for p in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if not incl[p][q]:
+                    continue
+                for a in t.alphabet:
+                    if not incl[step[a][p]][step[a][q]]:
+                        incl[p][q] = False
+                        changed = True
+                        break
+    # one class per language, numbered in order of its least state
+    least = [next(r for r in range(n) if incl[p][r] and incl[r][p]) for p in range(n)]
+    reps = sorted(set(least))
+    nq = len(reps)
+    letter_tf = {a: tuple(reps.index(least[step[a][r]]) for r in reps) for a in t.alphabet}
+    incl = [[incl[p][q] for q in reps] for p in reps]
+    text = {a: a if len(a) == 1 else f"[{a}]" for a in t.alphabet}
 
     transforms: list[tuple[int, ...]] = []
     words: list[str] = []
     pos: dict[tuple[int, ...], int] = {}
     queue = deque()
-    for a in m.alphabet:
+    for a in t.alphabet:
         tf = letter_tf[a]
         if tf not in pos:
             pos[tf] = len(transforms)
             transforms.append(tf)
-            words.append(a)
+            words.append(text[a])
             queue.append(tf)
     while queue:
         tf = queue.popleft()
         w = words[pos[tf]]
-        for a in m.alphabet:
+        for a in t.alphabet:
             tf2 = tuple(letter_tf[a][tf[q]] for q in range(nq))
             if tf2 not in pos:
                 pos[tf2] = len(transforms)
                 transforms.append(tf2)
-                words.append(w + a)
+                words.append(w + text[a])
                 queue.append(tf2)
 
     size = len(transforms)
@@ -360,33 +345,17 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
         )
         for i in range(size)
     )
-    S = FiniteSemigroup(tuple(words), table, {a: pos[letter_tf[a]] for a in m.alphabet})
-
-    # acc_incl[p][q]: every word accepted from p is accepted from q
-    acc = [m.states[p] in m.accepting for p in range(nq)]
-    incl = [[not (acc[p] and not acc[q]) for q in range(nq)] for p in range(nq)]
-    changed = True
-    while changed:
-        changed = False
-        for p in range(nq):
-            for q in range(nq):
-                if not incl[p][q]:
-                    continue
-                for a in m.alphabet:
-                    if not incl[letter_tf[a][p]][letter_tf[a][q]]:
-                        incl[p][q] = False
-                        changed = True
-                        break
+    S = FiniteSemigroup(tuple(words), table, {a: pos[letter_tf[a]] for a in t.alphabet})
     # a stable partial order by construction: incl is reflexive and
-    # transitive and preserved by letters, and two transformations that
-    # include each other's languages everywhere are equal in a minimal DFA
+    # transitive and preserved by letters, and two class transformations
+    # that include each other's languages everywhere are equal
     leq = frozenset(
         (i, j)
         for i in range(size)
         for j in range(size)
         if all(incl[transforms[j][q]][transforms[i][q]] for q in range(nq))
     )
-    return OrderedSemigroup(S, leq), {a: pos[letter_tf[a]] for a in m.alphabet}
+    return OrderedSemigroup(S, leq), {a: pos[letter_tf[a]] for a in t.alphabet}
 
 
 def concat_letter(d: Dfa, a: str) -> Dfa:

@@ -235,8 +235,12 @@ def test_deeply_nested_terms_are_rejected(tmp_path, capsys, z2, term, pos):
         ({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "generators": {"x": "1"}}, "generators['x']"),
         ({"elements": ["a", "b"], "table": [[0, 0.9], [1.7, 1]]}, "table[0][1]"),
         ({"elements": ["a", "b"], "table": [[0, 0], [True, 1]]}, "table[1][0]"),
+        ({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "identity": True}, "identity"),
+        ({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "identity": 1.0}, "identity"),
+        ({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "identity": "1"}, "identity"),
     ],
-    ids=["null-table", "string-generator", "float-entry", "bool-entry"],
+    ids=["null-table", "string-generator", "float-entry", "bool-entry", "bool-identity",
+         "float-identity", "string-identity"],
 )
 def test_semigroup_json_is_strict(tmp_path, capsys, doc, path):
     p = tmp_path / "bad.json"
@@ -244,6 +248,16 @@ def test_semigroup_json_is_strict(tmp_path, capsys, doc, path):
     code, out, err = run(capsys, ["classify", str(p)])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {path} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "identity, err", [(None, ""), (1, ""), (0, "error: declared identity 0 is not neutral\n")]
+)
+def test_declared_identity_must_be_neutral(tmp_path, capsys, identity, err):
+    p = tmp_path / "u1.json"
+    p.write_text(json.dumps({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "identity": identity}))
+    code, _, got = run(capsys, ["classify", str(p)])
+    assert (code, got) == (2 if err else 0, err)
 
 
 REES_OK = {
@@ -275,10 +289,14 @@ DFA_OK = {
         ("syntactic", dict(DFA_OK, states=["p", 1]), "states[1] must be a string"),
         ("syntactic", dict(DFA_OK, alphabet="a"), "alphabet must be a list"),
         ("syntactic", dict(DFA_OK, transitions=[["p,a", "q"]]), "transitions must be an object"),
+        ("syntactic", dict(DFA_OK, alphabet=["a", ""]), "letter '' must be nonempty and contain no"),
+        ("syntactic", dict(DFA_OK, alphabet=["a", "[a"]), "letter '[a' must be nonempty and contain no"),
+        ("syntactic", dict(DFA_OK, alphabet=["a", "b]"]), "letter 'b]' must be nonempty and contain no"),
     ],
     ids=[
         "bool-sandwich", "float-sandwich", "flat-sandwich", "bool-a", "zero-b", "string-a",
         "rees-list", "string-accepting", "int-state", "string-alphabet", "list-transitions",
+        "empty-letter", "open-bracket-letter", "close-bracket-letter",
     ],
 )
 def test_rees_and_dfa_json_are_strict(tmp_path, capsys, command, doc, message):
@@ -426,6 +444,25 @@ def test_syntactic_command(tmp_path, capsys):
     assert core.is_isomorphic(S, core.cyclic_group(2)) is not None
     code, out, _ = run(capsys, ["syntactic", str(path), "--concat-letter", "a"])
     assert code == 0
+
+
+def test_syntactic_labels_read_back_with_multi_character_letters(tmp_path, capsys):
+    # a then b is accepted and the letter ab leads to a sink: glued letter
+    # to letter, the words "a" "b" and the letter "ab" would share a label
+    doc = {
+        "states": ["0", "1", "2", "3"],
+        "alphabet": ["a", "b", "ab"],
+        "transitions": {"0,a": "1", "1,b": "2", "0,ab": "3"},
+        "initial": "0",
+        "accepting": ["2"],
+    }
+    dfa_path, out_path = tmp_path / "dfa.json", tmp_path / "syntactic.json"
+    dfa_path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, ["syntactic", str(dfa_path)])
+    assert code == 0 and json.loads(out)["elements"] == ["a", "b", "[ab]", "ab"]
+    out_path.write_text(out)
+    code, _, err = run(capsys, ["classify", str(out_path)])
+    assert (code, err) == (0, "")
 
 
 def test_orderable_command(tmp_path, capsys, u1, z2):
