@@ -180,33 +180,22 @@ def synthesis(
             raise PartialFError(f"f value {v} is not a T^1 element")
 
     ns = len(S)
-    ntrip = n1 * nt * n1
-
-    def tri(s1: int, t: int, s2: int) -> int:
-        return ns + (s1 * nt + t) * n1 + s2
-
-    size = ns + ntrip
-    tab = [[0] * size for _ in range(size)]
     triples = [(s1, t, s2) for s1 in range(n1) for t in range(nt) for s2 in range(n1)]
-    for s in range(ns):
-        for s2 in range(ns):
-            tab[s][s2] = S.table[s][s2]
-        for (s1, t, s2) in triples:
-            tab[s][tri(s1, t, s2)] = tri(S1.table[s][s1], t, s2)
-            tab[tri(s1, t, s2)][s] = tri(s1, t, S1.table[s2][s])
-    for (s1, t, s2) in triples:
-        me = tri(s1, t, s2)
-        for (r1, u, r2) in triples:
-            mid = T1.table[T1.table[t][fmap[S1.table[s2][r1]]]][u]
-            tab[me][tri(r1, u, r2)] = tri(s1, mid, r2)
-
-    labels = tuple(f"S:{S.elements[s]}" for s in range(ns)) + tuple(
+    labels = [f"S:{S.elements[s]}" for s in range(ns)] + [
         f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
-    )
-    if len(set(labels)) != size:
+    ]
+    if len(set(labels)) != len(labels):
         raise SemigroupError("duplicate element labels")
-    tab = tuple(map(tuple, tab))
-    carrier = FiniteSemigroup(labels, tab)
+    s1_tab, t1_tab = S1.table, T1.table  # S's rows are S^1's rows restricted to S
+
+    def mul(x: tuple, y: tuple) -> tuple:  # (s,) for s in S, (s1, t, s2) for a triple
+        if len(y) == 1:  # s s' or (s1, t, s2 s)
+            return x[:-1] + (s1_tab[x[-1]][y[0]],)
+        if len(x) == 1:  # (s s1, t, s2)
+            return (s1_tab[x[0]][y[0]],) + y[1:]
+        return (x[0], t1_tab[t1_tab[x[1]][fmap[s1_tab[x[2]][y[0]]]]][y[1]], y[2])
+
+    carrier = from_function([(s,) for s in range(ns)] + triples, mul, labels)
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
 
@@ -225,7 +214,6 @@ def bullet_gadget(p: int) -> FiniteSemigroup:
         syn = synthesis(G, G, g)
         front = [0, 1]
         back = [0, 1]
-        zero = syn.s_index(0)
     else:
         GG = direct_product(G, G)
         # product elements in lex order: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
@@ -233,12 +221,8 @@ def bullet_gadget(p: int) -> FiniteSemigroup:
         syn = synthesis(GG, G, h)
         front = [0, 2]  # (0,0), (1,0)
         back = [0, 1]   # (0,0), (0,1)
-        zero = syn.s_index(0)
-    keep = [zero] + [
-        syn.triple_index(s1, t, s2)
-        for s1 in front
-        for t in range(p)
-        for s2 in back
+    keep = [syn.s_index(0)] + [
+        syn.triple_index(s1, t, s2) for s1 in front for t in range(p) for s2 in back
     ]
     return subsemigroup(syn.carrier, keep)
 
@@ -283,12 +267,8 @@ def semidirect_product(
                 )
 
     pairs = [(s, t) for s in range(ns) for t in range(nt)]
-    pos = {p: i for i, p in enumerate(pairs)}
-    tab = tuple(
-        tuple(
-            pos[(S.table[s1][endos[t1][s2]], T.table[t1][t2])] for (s2, t2) in pairs
-        )
-        for (s1, t1) in pairs
+    s_tab, t_tab = S.table, T.table
+    labels = [f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs]
+    return from_function(
+        pairs, lambda x, y: (s_tab[x[0]][endos[x[1]][y[0]]], t_tab[x[1]][y[1]]), labels
     )
-    labels = tuple(f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs)
-    return FiniteSemigroup(labels, tab)

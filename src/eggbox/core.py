@@ -331,13 +331,7 @@ def generated_subsemigroup(S: FiniteSemigroup, subset: Iterable[int]) -> frozens
 def subsemigroup(S: FiniteSemigroup, indices: Iterable[int]) -> FiniteSemigroup:
     """Restrict S to a subset that must already be closed under the table."""
     keep = sorted(set(indices))
-    pos = {x: i for i, x in enumerate(keep)}
-    for x in keep:
-        for y in keep:
-            if S.table[x][y] not in pos:
-                raise NotClosedError(f"subset not closed: {x}*{y} escapes")
-    tab = tuple(tuple(pos[S.table[x][y]] for y in keep) for x in keep)
-    return FiniteSemigroup(tuple(S.elements[x] for x in keep), tab)
+    return from_function(keep, S.mul, [S.elements[x] for x in keep])
 
 
 def _cycle_of(S: FiniteSemigroup, s: int) -> tuple[dict[int, int], int]:
@@ -421,12 +415,9 @@ def adjoin_new_identity(S: FiniteSemigroup) -> FiniteSemigroup:
 
 def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
     pairs = [(i, j) for i in range(len(S)) for j in range(len(T))]
-    pos = {p: k for k, p in enumerate(pairs)}
-    tab = tuple(
-        tuple(pos[(S.table[i][x], T.table[j][y])] for (x, y) in pairs) for (i, j) in pairs
-    )
-    labels = tuple(f"({S.elements[i]},{T.elements[j]})" for (i, j) in pairs)
-    return FiniteSemigroup(labels, tab)
+    s_tab, t_tab = S.table, T.table
+    labels = [f"({S.elements[i]},{T.elements[j]})" for (i, j) in pairs]
+    return from_function(pairs, lambda p, q: (s_tab[p[0]][q[0]], t_tab[p[1]][q[1]]), labels)
 
 
 def evaluate_word(S: FiniteSemigroup, gen_map: Mapping[str, int], word) -> int:
@@ -524,10 +515,17 @@ def is_isomorphic(
 # --- stock semigroups -------------------------------------------------------
 
 def from_function(values, op, labels=None) -> FiniteSemigroup:
-    """Build a semigroup from abstract values and a binary operation on them."""
+    """Build a semigroup from abstract values and a binary operation on them;
+    NotClosedError names the first pair, row-major, whose product is not a value."""
     vals = list(values)
     pos = {v: i for i, v in enumerate(vals)}
-    tab = tuple(tuple(pos[op(x, y)] for y in vals) for x in vals)
+    try:
+        tab = tuple(tuple(pos[op(x, y)] for y in vals) for x in vals)
+    except KeyError:
+        # a second pass, only on failure, names the pair (a KeyError of op's own recurs here)
+        escape = next((x, y, z) for x in vals for y in vals if (z := op(x, y)) not in pos)
+        raise NotClosedError("not closed: {!r}*{!r} = {!r} is not among the values"
+                             .format(*escape)) from None
     elems = tuple(labels) if labels is not None else tuple(str(v) for v in vals)
     return FiniteSemigroup(elems, tab)
 
@@ -562,10 +560,7 @@ def rectangular_band(height: int, width: int) -> FiniteSemigroup:
 
 def null_semigroup(n: int = 2) -> FiniteSemigroup:
     """n elements a1..a_{n-1} and 0, with every product equal to 0."""
-    labels = [f"a{i}" for i in range(1, n)] + ["0"]
-    zero = n - 1
-    tab = tuple(tuple(zero for _ in range(n)) for _ in range(n))
-    return FiniteSemigroup(tuple(labels), tab)
+    return from_function([f"a{i}" for i in range(1, n)] + ["0"], lambda a, b: "0")
 
 
 def full_transformation_monoid(n: int, act_on_right: bool = False) -> FiniteSemigroup:

@@ -15,7 +15,7 @@ from operator import itemgetter
 from .core import (
     FiniteSemigroup,
     BoundExceededError,
-    SemigroupError,
+    from_function,
     opposite,
     generating_set,
     record,
@@ -152,21 +152,10 @@ def hull_monoid(hull) -> tuple[FiniteSemigroup, list[Bitranslation]]:
     """The hull as an abstract monoid under pair composition.
 
     Returns the table (elements sorted for determinism) together with the
-    ordering used. Raises if the given set is not closed.
+    ordering used. Raises NotClosedError if the given set is not closed.
     """
     items = sorted(hull)
-    pos = {bt: i for i, bt in enumerate(items)}
-    tab = []
-    for x in items:
-        row = []
-        for y in items:
-            z = compose(x, y)
-            if z not in pos:
-                raise SemigroupError("set of bitranslations is not closed under composition")
-            row.append(pos[z])
-        tab.append(tuple(row))
-    labels = tuple(f"b{i}" for i in range(len(items)))
-    return FiniteSemigroup(labels, tuple(tab)), items
+    return from_function(items, compose, [f"b{i}" for i in range(len(items))]), items
 
 
 @record

@@ -17,6 +17,7 @@ from .core import (
     FiniteSemigroup,
     SemigroupError,
     UnknownLetterError,
+    from_function,
     record,
     _require_list,
 )
@@ -259,6 +260,8 @@ def dfa(states, alphabet, transition, initial, accepting) -> Dfa:
 def _complete_and_trim(d: Dfa) -> Dfa:
     """Restrict to reachable states, adding a sink when transitions are partial."""
     sink = "__sink__"
+    while sink in d.states:
+        sink += "'"
     reach = [d.initial]
     seen = {d.initial}
     trans = {}
@@ -338,13 +341,7 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
                 queue.append(tf2)
 
     size = len(transforms)
-    table = tuple(
-        tuple(
-            pos[tuple(transforms[j][transforms[i][q]] for q in range(nq))]
-            for j in range(size)
-        )
-        for i in range(size)
-    )
+    table = from_function(transforms, lambda f, g: tuple(map(g.__getitem__, f)), words).table
     S = FiniteSemigroup(tuple(words), table, {a: pos[letter_tf[a]] for a in t.alphabet})
     # a stable partial order by construction: incl is reflexive and
     # transitive and preserved by letters, and two class transformations

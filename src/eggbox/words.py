@@ -293,7 +293,7 @@ def stretch_word(
             continue
         occ = _occurrences(xr + s.letters, s.letters)
         if occ != [len(xr)]:
-            raise AssertionError("stretch candidate failed its occurrence scan")
+            raise RuntimeError("stretch candidate failed its occurrence scan")
         return Word(candidate)
     raise AvoidSetTooLargeError("avoid set blocks all three stretch candidates")
 

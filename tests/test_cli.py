@@ -373,6 +373,23 @@ def test_syntactic_monoid_writes_its_identity(tmp_path, capsys):
     assert code == 0 and obj["elements"][obj["identity"]] == "b"
 
 
+@pytest.mark.parametrize("extra", [[], ["--concat-letter", "a"]], ids=["plain", "concat-a"])
+def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
+    # both DFAs accept (aa)*; a state called __sink__ must not be taken for the added sink
+    outs = []
+    for name in ("__sink__", "q"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "states": ["p", name], "alphabet": ["a"],
+            "transitions": {"p,a": name, f"{name},a": "p"}, "initial": "p", "accepting": ["p"],
+        }))
+        code, out, _ = run(capsys, ["syntactic", str(path), *extra])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(json.loads(outs[0])["elements"]) == 2
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

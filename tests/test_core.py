@@ -479,3 +479,27 @@ def test_omega_tables_skip_elements_an_earlier_walk_reached(monkeypatch):
     monkeypatch.setattr(core, "_cycle_of", lambda S, s: walked.append(s) or walk(S, s))
     core._omega_tables(core.cyclic_group(12))  # 1 generates, 0 is its own cycle
     assert walked == [0, 1]
+
+
+def test_from_function_names_the_first_pair_that_leaves_the_values():
+    # row-major: 0*0..0*2 and 1*0, 1*1 stay in {0, 1, 2}; 1*2 = 3 is the first to leave
+    with pytest.raises(core.NotClosedError, match=r"^not closed: 1\*2 = 3 is not among the values$"):
+        core.from_function(range(3), lambda a, b: a + b)
+    with pytest.raises(core.NotClosedError, match=r"'b'\*'b' = 'bb'"):
+        core.from_function(["a", "b"], lambda x, y: "a" if "a" in (x, y) else x + y)
+    assert issubclass(core.NotClosedError, core.SemigroupError)
+
+
+def test_from_function_passes_on_a_key_error_of_the_operation():
+    # every product is a value, so the KeyError is the operation's own
+    with pytest.raises(KeyError, match="missing"):
+        core.from_function([0, 1], lambda a, b: {}["missing"] if (a, b) == (1, 1) else 0)
+
+
+def test_subsemigroup_names_the_first_pair_that_escapes():
+    z4 = core.cyclic_group(4)
+    with pytest.raises(core.NotClosedError, match=r"^not closed: 1\*2 = 3 is not among the values$"):
+        core.subsemigroup(z4, [2, 0, 1])
+    with pytest.raises(core.NotClosedError, match=r"^not closed: 3\*3 = 2 "):
+        core.subsemigroup(z4, [0, 3])
+    assert core.subsemigroup(z4, [2, 0]).elements == ("0", "2")

@@ -19,6 +19,21 @@ def test_inner_bitranslations_are_linked():
                     assert S.mul(x, bt.lam[y]) == S.mul(bt.rho[x], y), name
 
 
+def test_hull_monoid_names_the_first_pair_that_escapes(z3):
+    inner = [hull.inner_bitranslation(z3, s) for s in range(3)]
+    assert sorted(hull.enumerate_hull(z3)) == inner  # the identity, then +1, then +2
+    # in {0, +1}, (+1)(+1) = +2 is the first product, row-major, outside the set
+    with pytest.raises(core.NotClosedError) as err:
+        hull.hull_monoid({inner[1], inner[0]})
+    assert str(err.value) == f"not closed: {inner[1]!r}*{inner[1]!r} = {inner[2]!r} is not among the values"
+    # in {+1, +2}, (+1)(+1) = +2 stays and (+1)(+2) = 0 is the first to leave
+    with pytest.raises(core.NotClosedError) as err:
+        hull.hull_monoid({inner[2], inner[1]})
+    assert str(err.value).startswith(f"not closed: {inner[1]!r}*{inner[2]!r} = {inner[0]!r}")
+    M, items = hull.hull_monoid({inner[0]})
+    assert M.elements == ("b0",) and items == [inner[0]]
+
+
 def test_inner_bitranslation_shapes(rb22, u1):
     bt = hull.inner_bitranslation(rb22, rb22.index_of("(0,0)"))
     # left multiplication by (a0,b0) fixes the column, moves to row a0
