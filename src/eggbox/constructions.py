@@ -8,6 +8,7 @@ products S x| T.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Mapping, Sequence
 
 from .core import (
@@ -181,21 +182,29 @@ def synthesis(
 
     ns = len(S)
     triples = [(s1, t, s2) for s1 in range(n1) for t in range(nt) for s2 in range(n1)]
-    labels = [f"S:{S.elements[s]}" for s in range(ns)] + [
+    labels = tuple(f"S:{S.elements[s]}" for s in range(ns)) + tuple(
         f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
-    ]
+    )
     if len(set(labels)) != len(labels):
         raise SemigroupError("duplicate element labels")
     s1_tab, t1_tab = S1.table, T1.table  # S's rows are S^1's rows restricted to S
-
-    def mul(x: tuple, y: tuple) -> tuple:  # (s,) for s in S, (s1, t, s2) for a triple
-        if len(y) == 1:  # s s' or (s1, t, s2 s)
-            return x[:-1] + (s1_tab[x[-1]][y[0]],)
-        if len(x) == 1:  # (s s1, t, s2)
-            return (s1_tab[x[0]][y[0]],) + y[1:]
-        return (x[0], t1_tab[t1_tab[x[1]][fmap[s1_tab[x[2]][y[0]]]]][y[1]], y[2])
-
-    carrier = from_function([(s,) for s in range(ns)] + triples, mul, labels)
+    chain = itertools.chain.from_iterable
+    # (s1, t, s2) has index ns + (s1 nt + t) n1 + s2, so the triples with a
+    # given s1 are one range; block[s1][u] lists (s1, u t', s2') over t', s2'
+    spans = [tuple(range(ns + s1 * nt * n1, ns + (s1 + 1) * nt * n1)) for s1 in range(n1)]
+    block = [[tuple(chain(span[ut * n1:(ut + 1) * n1] for ut in t1_tab[u])) for u in range(nt)]
+             for span in spans]
+    rows = [
+        # s s' = ss', s (s1', t', s2') = (s s1', t', s2')
+        tuple(S.table[s]) + tuple(chain(map(spans.__getitem__, s1_tab[s])))
+        for s in range(ns)
+    ]
+    for s1, t, s2 in triples:
+        # (s1, t, s2) s' = (s1, t, s2 s'), then (s1, t f(s2 s1') t', s2')
+        base, times_t, to_s1 = ns + (s1 * nt + t) * n1, t1_tab[t], block[s1]
+        rows.append(tuple(base + x for x in s1_tab[s2][:ns])
+                    + tuple(chain(to_s1[times_t[fmap[x]]] for x in s1_tab[s2])))
+    carrier = FiniteSemigroup(labels, tuple(rows))
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
 

@@ -200,13 +200,15 @@ def validate(
         raise SemigroupError("empty carrier")
     if len(set(elems)) != n:
         raise SemigroupError("duplicate element labels")
-    tab = tuple(tuple(map(int, row)) for row in table)
-    if len(tab) != n or any(len(row) != n for row in tab):
+    tab = tuple(map(tuple, table))
+    if set(map(type, itertools.chain.from_iterable(tab))) != {int}:
+        tab = tuple(tuple(map(int, row)) for row in tab)  # bool, float: as int() reads them
+    if len(tab) != n or set(map(len, tab)) != {n}:
         raise SemigroupError(f"table must be {n}x{n}")
-    for i, row in enumerate(tab):
-        if min(row) < 0 or max(row) >= n:
-            j = next(j for j, v in enumerate(row) if not 0 <= v < n)
-            raise OutOfRangeError(f"table[{i}][{j}] = {row[j]} not in 0..{n - 1}")
+    if min(map(min, tab)) < 0 or max(map(max, tab)) >= n:
+        i, j = next((i, j) for i, row in enumerate(tab) for j, v in enumerate(row)
+                    if not 0 <= v < n)
+        raise OutOfRangeError(f"table[{i}][{j}] = {tab[i][j]} not in 0..{n - 1}")
     greedy = _generating_set(tab)
     _check_associative(tab, greedy)
     gens = dict(generators) if generators is not None else None
@@ -560,6 +562,8 @@ def rectangular_band(height: int, width: int) -> FiniteSemigroup:
 
 def null_semigroup(n: int = 2) -> FiniteSemigroup:
     """n elements a1..a_{n-1} and 0, with every product equal to 0."""
+    if n < 1:
+        raise SemigroupError("null semigroup order must be >= 1")
     return from_function([f"a{i}" for i in range(1, n)] + ["0"], lambda a, b: "0")
 
 

@@ -6,12 +6,14 @@ assigned in order of least member, which keeps everything deterministic.
 
 from __future__ import annotations
 
+from operator import add, itemgetter
 from typing import Mapping
 
 from .core import (
     FiniteSemigroup,
     SemigroupError,
     adjoin_identity,
+    generating_set,
     omega_minus_one,
     record,
     subsemigroup,
@@ -56,60 +58,90 @@ class ReesMatrixSemigroup:
     sandwich: tuple[tuple[int, ...], ...]
 
 
-def _ideals(S: FiniteSemigroup):
-    """Principal right, left and two-sided ideals sS^1, S^1s and S^1sS^1.
-
-    The two-sided ideal is the union of S^1r over r in sS^1, computed once
-    per distinct right ideal.
-    """
-    rng = range(len(S))
-    right = [frozenset(S.table[s]).union((s,)) for s in rng]
-    left = [frozenset(col).union((s,)) for s, col in enumerate(zip(*S.table))]
-    two_of: dict[frozenset, frozenset] = {}
-    for r in right:
-        if r not in two_of:
-            two_of[r] = frozenset().union(*(left[t] for t in r))
-    return right, left, [two_of[r] for r in right]
-
-
-def _classify_by(ideals) -> tuple[int, ...]:
-    ids: dict[frozenset, int] = {}
-    out = []
-    for ideal in ideals:
-        if ideal not in ids:
-            ids[ideal] = len(ids)
-        out.append(ids[ideal])
-    return tuple(out)
-
-
 def green_structure(S: FiniteSemigroup) -> GreenStructure:
     """Green's R, L, J, H classes and the J-order, computed once per S."""
     return S._derive("green", _green_structure)
 
 
 def _green_structure(S: FiniteSemigroup) -> GreenStructure:
-    n = len(S)
-    right, left, two = _ideals(S)
-    r = _classify_by(right)
-    l = _classify_by(left)
-    j = _classify_by(two)
-    h = _classify_by(list(zip(r, l)))
+    """R-, L- and J-classes as the strongly connected components of the right,
+    left and two-sided Cayley graphs over the generating set A: xS^1 is x and
+    every x a1..ak, so y lies in xS^1 exactly when the right graph has a path
+    from x to y (S^1x and S^1xS^1 likewise). The J-order is reachability in
+    the two-sided condensation, whose unique sink is the minimum ideal."""
+    table, gens = S.table, generating_set(S)
+    right = list(zip(*(map(itemgetter(g), table) for g in gens)))  # x -> xa
+    left = list(zip(*(table[g] for g in gens)))  # x -> ax
+    two = list(map(add, right, left))
+    r = _least_member_ids(_sccs(right))
+    l = _least_member_ids(_sccs(left))
+    comp = _sccs(two)
+    j = _least_member_ids(comp)
+    h = _least_member_ids(list(zip(r, l)))
 
-    n_j = max(j) + 1
-    rep = [None] * n_j
-    for x in range(n):
-        if rep[j[x]] is None:
-            rep[j[x]] = x
-    order = frozenset(
-        (a, b) for a in range(n_j) for b in range(n_j) if two[rep[a]] <= two[rep[b]]
-    )
-    minima = [c for c in range(n_j) if all((c, d) in order for d in range(n_j))]
-    if len(minima) != 1:
+    # components complete sinks first, so every edge leads to a component
+    # numbered no higher, and each reach set is built from finished ones
+    below: list[set[int]] = [set() for _ in range(max(comp) + 1)]
+    for c, succ in zip(comp, two):
+        below[c].update(map(comp.__getitem__, succ))
+    reach: list[set[int]] = []
+    for c, out in enumerate(below):
+        reach.append({c}.union(*(reach[d] for d in out if d != c)))
+    if sum(len(down) == 1 for down in reach) != 1:
         raise SemigroupError("finite semigroup must have a unique minimum ideal")
-    regular = [False] * n_j
+    j_of = dict(zip(comp, j))
+    order = frozenset((j_of[a], j_of[b]) for b, down in enumerate(reach) for a in down)
+    regular = [False] * len(reach)
     for e in S.idempotents():
         regular[j[e]] = True
-    return GreenStructure(r, l, j, h, order, minima[0], tuple(regular))
+    return GreenStructure(r, l, j, h, order, j_of[0], tuple(regular))
+
+
+def _sccs(successors: list[tuple[int, ...]]) -> list[int]:
+    """The strongly connected components of the graph with edges x -> y for y
+    in successors[x], by Tarjan's algorithm (1972) without recursion: comp[x]
+    numbers x's component in the order the components complete, so an edge
+    never leads to a component numbered higher."""
+    n = len(successors)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    stack: list[int] = []
+    count = visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            x, todo = path[-1]
+            for y in todo:
+                if index[y] < 0:  # descend; x's remaining edges wait in todo
+                    index[y] = low[y] = visited
+                    visited += 1
+                    stack.append(y)
+                    path.append((y, iter(successors[y])))
+                    break
+                if comp[y] < 0 and index[y] < low[x]:  # y is still on the stack
+                    low[x] = index[y]
+            else:
+                path.pop()
+                if low[x] == index[x]:
+                    while True:
+                        y = stack.pop()
+                        comp[y] = count
+                        if y == x:
+                            break
+                    count += 1
+                if path and low[x] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[x]
+    return comp
+
+
+def _least_member_ids(keys) -> tuple[int, ...]:
+    """Renumber the classes given by `keys` in order of least member."""
+    ids: dict = {}
+    return tuple(ids.setdefault(k, len(ids)) for k in keys)
 
 
 def kernel(S: FiniteSemigroup) -> frozenset[int]:

@@ -197,14 +197,14 @@ def classify(S: FiniteSemigroup) -> dict:
 def reductivity(S: FiniteSemigroup) -> dict:
     """Injectivity of the canonical maps into translations of S itself."""
     n = len(S)
-    lams, rhos = S.table, list(zip(*S.table))  # s -> row s, column s
-    right_red = len(set(lams)) == n
-    left_red = len(set(rhos)) == n
-    weak = len(set(zip(lams, rhos))) == n
+    row_ids: dict = {}  # the distinct rows and columns, numbered: each hashed once
+    col_ids: dict = {}
+    rows = [row_ids.setdefault(row, len(row_ids)) for row in S.table]
+    cols = [col_ids.setdefault(col, len(col_ids)) for col in zip(*S.table)]
     return {
-        "right_reductive": right_red,
-        "left_reductive": left_red,
-        "weakly_reductive": weak,
+        "right_reductive": len(row_ids) == n,
+        "left_reductive": len(col_ids) == n,
+        "weakly_reductive": len(set(zip(rows, cols))) == n,
     }
 
 

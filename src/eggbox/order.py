@@ -10,6 +10,7 @@ is both necessary and sufficient.
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Collection, Iterable, Mapping, Optional
 
 from .core import (
@@ -18,6 +19,7 @@ from .core import (
     SemigroupError,
     UnknownLetterError,
     from_function,
+    generating_set,
     record,
     _require_list,
 )
@@ -48,11 +50,31 @@ def ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> OrderedSemi
             raise OrderError(f"pair ({a},{b}) out of range")
         if a != b and (b, a) in leq:
             raise OrderError(f"not antisymmetric at ({a},{b})")
-    added = stable_closure(S, leq)[0] - leq
-    if added:
-        a, b = min(added)
+    if not _is_closed(S, leq):
+        a, b = min(stable_closure(S, leq)[0] - leq)
         raise OrderError(f"not transitive and stable: its stable closure adds ({a},{b})")
     return OrderedSemigroup(S, frozenset(leq))
+
+
+def _is_closed(S: FiniteSemigroup, leq: set[tuple[int, int]]) -> bool:
+    """Is the reflexive relation `leq` transitive and stable, i.e. does its
+    stable closure add no pair? Transitivity is checked on one-step
+    compositions, stability on the products with each generator g on either
+    side: if x -> xg keeps every pair for each g, then by induction on word
+    length so does x -> xu for every u = g1..gk, and x -> ux likewise."""
+    above: dict[int, set[int]] = {}
+    for a, b in leq:
+        above.setdefault(a, set()).add(b)
+    if not all(above[b] <= above[a] for a, b in leq if a != b):
+        return False
+    images_of = [(a, itemgetter(a, *up)) for a, up in above.items()]  # a, then above[a]
+    table = S.table
+    for g in generating_set(S):
+        for image in ([row[g] for row in table], table[g]):  # x -> xg, x -> gx
+            for a, get in images_of:
+                if not above[image[a]].issuperset(get(image)):
+                    return False
+    return True
 
 
 def trivial_order(S: FiniteSemigroup) -> OrderedSemigroup:

@@ -246,6 +246,48 @@ def validation_pool():
     return pool
 
 
+def malformed_pool():
+    """Tables `from_dict` would refuse, passed to validate directly: float and
+    bool entries (read with int()), an out-of-range entry in the last row,
+    and ragged tables."""
+    t3 = [list(row) for row in core.full_transformation_monoid(3).table]
+    n = len(t3)
+    last_high, last_low = [row[:] for row in t3], [row[:] for row in t3]
+    last_high[-1][-1], last_low[-1][0] = n, -1
+    return [
+        ("float and bool", [[0.0, False], [0, True]]),
+        ("float read down", [[0, 0.9], [0.2, 1.7]]),
+        ("float out of range", [[0, 2.5], [0, 1]]),
+        ("bool beside out of range", [[True, 2], [False, True]]),
+        ("last row high", last_high),
+        ("last row low", last_low),
+        ("ragged short row", [[0, 0], [0]]),
+        ("ragged long row", [[0, 0], [0, 1, 1]]),
+        ("extra row", [[0, 0], [0, 1], [0, 1]]),
+        ("ragged last row", t3[:-1] + [t3[-1][:-1]]),
+    ]
+
+
+def test_validate_matches_full_scan_on_malformed_tables():
+    kinds = set()
+    for name, table in malformed_pool():
+        labels = [str(i) for i in range(len(table[0]))]
+        expected = outcome(old_validate, labels, table)
+        kinds.add(expected[0])
+        assert outcome(core.validate, labels, table) == expected, name
+        if expected[0] == "ok":
+            table = core.validate(labels, table).table
+            assert {type(v) for row in table for v in row} == {int}, name
+    assert kinds == {"ok", "OutOfRangeError", "SemigroupError"}
+
+
+def test_null_semigroup_needs_an_element():
+    assert core.null_semigroup(1).table == ((0,),)
+    for n in (0, -2):
+        with pytest.raises(core.SemigroupError, match="null semigroup order must be >= 1"):
+            core.null_semigroup(n)
+
+
 def corruptions(table, rng, count):
     """Copies of `table` with one entry changed to another in-range value."""
     n = len(table)

@@ -8,7 +8,7 @@ import json
 import random
 
 from eggbox import cli, constructions, core, green, hull
-from conftest import random_transformation_semigroup, small_library
+from conftest import random_transformation_semigroup, s3_table, small_library
 from test_core import oracle_omega
 
 
@@ -82,11 +82,15 @@ def scan_completely_simple(S):
 
 def test_green_structure_matches_ideal_oracle():
     library = list(small_library().values())
+    kernels = [constructions.k_p(p) for p in (2, 3, 5, 7)]
+    s3 = s3_table()  # the sandwich is not normalized: its first row and column are not all 0
+    kernels.append(constructions.rees_matrix(2, s3, 3, [[1, 2], [3, 4], [5, 0]]))
+    big = random_transformation_semigroup(random.Random(26), max_size=320, min_size=200)
     sizes = []
-    for S in library + samples(21, 40):
+    for S in library + kernels + samples(21, 40) + [big]:
         assert green.green_structure(S) == oracle_green_structure(S)
         sizes.append(len(S))
-    assert max(sizes) > 60  # the sample reaches past desk scale
+    assert max(sizes) >= 200  # the sample reaches past desk scale
 
 
 def test_is_completely_simple_matches_identity_scan():
@@ -122,7 +126,7 @@ def test_deriving_keeps_the_instance_layout():
     core.omega_power(S, 0)
     green.green_structure(S)
     hull.kernel_representation(S)
-    assert set(S._derived) == {"omega", "green"}
+    assert set(S._derived) == {"omega", "green", "gens"}  # the Cayley graphs' generators
     core.small_generating_set(S)
     assert set(S._derived) == {"omega", "green", "gens"}
     assert list(vars(S)) == keys

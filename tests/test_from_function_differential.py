@@ -6,7 +6,9 @@ against verbatim copies of the code they replaced.
 value-to-index map and table loop; they must give the same semigroups (same
 labels, same tables, same identity) and the same errors, except that a set
 that is not closed now raises `NotClosedError` with a message naming the
-first pair that escapes.
+first pair that escapes. `synthesis` has since moved on: it joins each
+carrier row from precomputed index blocks, and its `from_function` version
+is kept here as the oracle for that.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from eggbox.core import (
     NotClosedError,
     SemigroupError,
     adjoin_identity,
+    from_function,
 )
 from eggbox.hull import Bitranslation, compose
 from conftest import random_transformation_semigroup, small_library
@@ -132,6 +135,63 @@ def old_synthesis(
         raise SemigroupError("duplicate element labels")
     tab = tuple(map(tuple, tab))
     carrier = FiniteSemigroup(labels, tab)
+    return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
+
+
+def from_function_synthesis(
+    S: FiniteSemigroup,
+    T: FiniteSemigroup,
+    f: Mapping[int, int] | Sequence[int] | Callable[[int], int],
+) -> SynthesisSemigroup:
+    """Build M(S, T, f) for a total map f: S^1 -> T^1.
+
+    S^1 and T^1 use adjoin-only-if-needed semantics. The four multiplication
+    rules are:
+
+        s . s'                  = ss'
+        s . (s1, t, s2)         = (s s1, t, s2)
+        (s1, t, s2) . s         = (s1, t, s2 s)
+        (s1, t, s2) . (s1', t', s2') = (s1, t f(s2 s1') t', s2')
+
+    The carrier is associative for every f, since both bracketings of a
+    product of three triples give (s1, t f(s2 r1) u f(r2 q1) v, q2); so it
+    is not rescanned.
+    """
+    S1 = adjoin_identity(S)
+    T1 = adjoin_identity(T)
+    n1, nt = len(S1), len(T1)
+    if callable(f):
+        fmap = [f(x) for x in range(n1)]
+    elif isinstance(f, Mapping):
+        try:
+            fmap = [f[x] for x in range(n1)]
+        except KeyError as exc:
+            raise PartialFError(f"f undefined on S^1 element {exc.args[0]}") from None
+    else:
+        fmap = list(f)
+        if len(fmap) != n1:
+            raise PartialFError(f"f must cover all {n1} elements of S^1")
+    for v in fmap:
+        if not 0 <= v < nt:
+            raise PartialFError(f"f value {v} is not a T^1 element")
+
+    ns = len(S)
+    triples = [(s1, t, s2) for s1 in range(n1) for t in range(nt) for s2 in range(n1)]
+    labels = [f"S:{S.elements[s]}" for s in range(ns)] + [
+        f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
+    ]
+    if len(set(labels)) != len(labels):
+        raise SemigroupError("duplicate element labels")
+    s1_tab, t1_tab = S1.table, T1.table  # S's rows are S^1's rows restricted to S
+
+    def mul(x: tuple, y: tuple) -> tuple:  # (s,) for s in S, (s1, t, s2) for a triple
+        if len(y) == 1:  # s s' or (s1, t, s2 s)
+            return x[:-1] + (s1_tab[x[-1]][y[0]],)
+        if len(x) == 1:  # (s s1, t, s2)
+            return (s1_tab[x[0]][y[0]],) + y[1:]
+        return (x[0], t1_tab[t1_tab[x[1]][fmap[s1_tab[x[2]][y[0]]]]][y[1]], y[2])
+
+    carrier = from_function([(s,) for s in range(ns)] + triples, mul, labels)
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
 
@@ -346,6 +406,28 @@ def test_synthesis_matches():
                        constructions.synthesis(S, T, dict(enumerate(f))))
         same_synthesis(old_synthesis(S, T, f.__getitem__),
                        constructions.synthesis(S, T, f.__getitem__))
+
+
+def test_synthesis_rows_match_the_from_function_table():
+    # the carrier's rows are joined from index blocks; from_function, which
+    # built them before, is the oracle
+    rng = random.Random(37)
+    parts = {"monoid": [], "not a monoid": []}
+    for S in SEMIGROUPS + random_semigroups(20, seed=38):
+        parts["not a monoid" if S.identity is None else "monoid"].append(S)
+    compared = set()
+    for _ in range(60):
+        kinds = (rng.choice(list(parts)), rng.choice(list(parts)))
+        S, T = (rng.choice(parts[kind]) for kind in kinds)
+        if synthesis_size(S, T) > 400:
+            continue
+        n1, nt1 = len(adjoin_identity(S)), len(adjoin_identity(T))
+        f = [rng.randrange(nt1) for _ in range(n1)]
+        old = from_function_synthesis(S, T, f).carrier
+        new = constructions.synthesis(S, T, f).carrier
+        assert new.elements == old.elements and new.table == old.table
+        compared.add(kinds)
+    assert len(compared) == 4
 
 
 def test_synthesis_triple_index_matches_the_carrier():

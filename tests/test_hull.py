@@ -163,6 +163,34 @@ def test_reductivity(rb22):
     assert red["weakly_reductive"]
 
 
+def old_reductivity(S):
+    """reductivity as it was before rows and columns were numbered once."""
+    n = len(S)
+    lams, rhos = S.table, list(zip(*S.table))  # s -> row s, column s
+    right_red = len(set(lams)) == n
+    left_red = len(set(rhos)) == n
+    weak = len(set(zip(lams, rhos))) == n
+    return {
+        "right_reductive": right_red,
+        "left_reductive": left_red,
+        "weakly_reductive": weak,
+    }
+
+
+def test_reductivity_matches_the_tuple_sets():
+    rng = random.Random(61)
+    pool = list(small_library().values())
+    pool += [core.left_zero(3), core.right_zero(4), core.null_semigroup(4), core.rectangular_band(2, 3)]
+    pool += [random_transformation_semigroup(rng, max_size=40) for _ in range(40)]
+    pool += [core.direct_product(S, T) for S, T in zip(pool[:12], pool[12:24])]
+    seen = set()
+    for S in pool:
+        red = hull.reductivity(S)
+        assert red == old_reductivity(S)
+        seen.add(tuple(red.values()))
+    assert len(seen) >= 4, seen
+
+
 def test_completely_simple_weakly_reductive():
     rng = random.Random(9)
     for _ in range(10):

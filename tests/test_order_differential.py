@@ -2,7 +2,9 @@
 of the code they replaced.
 
 `ordered` used to check transitivity over all pairs of pairs and stability
-pair by pair; it now asks whether the stable closure adds a pair.
+pair by pair; then it asked whether the stable closure adds a pair; it now
+checks one-step compositions and products with the generators, and runs the
+closure only to name the pair it adds.
 `syntactic_semigroup` used to minimize the DFA by Moore refinement before
 computing the state-inclusion relation; it now merges the states that
 include each other. Both must give the same answers as before.
@@ -43,6 +45,24 @@ def old_ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> Ordered
                 raise OrderError(f"not left stable at u={u}, pair ({a},{b})")
             if (S.table[a][u], S.table[b][u]) not in leq:
                 raise OrderError(f"not right stable at u={u}, pair ({a},{b})")
+    return OrderedSemigroup(S, frozenset(leq))
+
+
+def closure_ordered(S: FiniteSemigroup, pairs: Iterable[tuple[int, int]]) -> OrderedSemigroup:
+    """Build an OrderedSemigroup, verifying all order axioms and stability:
+    a reflexive antisymmetric relation is a stable order exactly when its
+    stable closure adds no pair (the error names the least pair it adds)."""
+    n = len(S)
+    leq = {(int(a), int(b)) for a, b in pairs} | {(x, x) for x in range(n)}
+    for a, b in leq:
+        if not (0 <= a < n and 0 <= b < n):
+            raise OrderError(f"pair ({a},{b}) out of range")
+        if a != b and (b, a) in leq:
+            raise OrderError(f"not antisymmetric at ({a},{b})")
+    added = order.stable_closure(S, leq)[0] - leq
+    if added:
+        a, b = min(added)
+        raise OrderError(f"not transitive and stable: its stable closure adds ({a},{b})")
     return OrderedSemigroup(S, frozenset(leq))
 
 
@@ -269,3 +289,35 @@ def test_ordered_names_the_least_pair_the_closure_adds():
     # on Z2 the pair (0,1) is not stable: its closure adds (1,0)
     with pytest.raises(OrderError, match=r"its stable closure adds \(1,0\)$"):
         order.ordered(core.cyclic_group(2), [(0, 1)])
+
+
+def transitive_closure(pairs, n):
+    leq = set(pairs) | {(x, x) for x in range(n)}
+    while True:
+        more = {(a, d) for a, b in leq for c, d in leq if b == c} - leq
+        if not more:
+            return leq
+        leq |= more
+
+
+def test_ordered_matches_the_closure_test(ordered_cases):
+    # the stable orders, their one-pair deletions and random relations, plus
+    # random partial orders: transitive, so only stability can fail
+    rng = random.Random(514)
+    cases = list(ordered_cases)
+    for S in {id(S): S for S, _ in ordered_cases}.values():
+        n = len(S)
+        for _ in range(6 if n > 1 else 0):
+            ranked = rng.sample(range(n), n)  # a < b only when a comes first
+            seeds = [tuple(sorted(rng.sample(range(n), 2), key=ranked.index)) for _ in range(rng.randint(1, n))]
+            cases.append((S, sorted(transitive_closure(seeds, n))))
+    kinds = {"accepted": 0, "transitive": 0, "closure": 0}
+    for S, pairs in cases:
+        old = ordered_outcome(closure_ordered, S, pairs)
+        assert ordered_outcome(order.ordered, S, pairs) == old, pairs
+        if isinstance(old, OrderedSemigroup):
+            kinds["accepted"] += 1
+        elif "closure adds" in old:
+            transitive = transitive_closure(pairs, len(S)) == set(pairs) | order._diagonal(len(S))
+            kinds["transitive" if transitive else "closure"] += 1
+    assert min(kinds.values()) > 100, kinds
