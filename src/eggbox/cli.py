@@ -18,9 +18,17 @@ from . import core, green, constructions, hull, order, terms, words
 def _load_json(path: str):
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
-        return json.loads(text)
+        return _loads(text, path)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from None
+
+
+def _loads(text: str, source: str):
+    """json.loads, with nesting too deep for the decoder's recursion as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"cannot read JSON from {source}: nested too deeply") from None
 
 
 def _load_semigroup(path: str):
@@ -146,7 +154,7 @@ def cmd_construct(args) -> int:
         ng = len(group)
         _check_constructed_size(args.a * ng * args.b, f"M({args.a}, G, {args.b}; P) with |G| = {ng}")
         if args.sandwich:
-            sandwich = green.sandwich_from_json(json.loads(args.sandwich))
+            sandwich = green.sandwich_from_json(_loads(args.sandwich, "--sandwich"))
         else:
             e = group.identity
             sandwich = [[e] * args.a for _ in range(args.b)]

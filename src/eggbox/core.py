@@ -3,8 +3,8 @@
 Elements are referenced by index into a fixed ordering; labels are for I/O
 only, so all algebra stays integer-only. Instances are immutable after
 construction and safe to share. Data derived from the table (identity,
-omega tables, Green structure, generating set) is computed on first use and
-kept on the instance, so each object is derived once per semigroup.
+columns, omega tables, Green structure, generating set) is computed on first
+use and kept on the instance, so each object is derived once per semigroup.
 """
 
 from __future__ import annotations
@@ -136,6 +136,12 @@ class FiniteSemigroup:
         """The neutral element, or None; found once per semigroup."""
         return self._derive("identity", lambda S: _find_identity(S.table))
 
+    @property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """The transposed table: columns[j] is the right action of j, (x*j)
+        for every x. Built once per semigroup and kept, one more n x n table."""
+        return self._derive("columns", lambda S: tuple(zip(*S.table)))
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -209,11 +215,9 @@ def validate(
         i, j = next((i, j) for i, row in enumerate(tab) for j, v in enumerate(row)
                     if not 0 <= v < n)
         raise OutOfRangeError(f"table[{i}][{j}] = {tab[i][j]} not in 0..{n - 1}")
-    greedy = _generating_set(tab)
-    _check_associative(tab, greedy)
     gens = dict(generators) if generators is not None else None
     semi = FiniteSemigroup(elems, tab, gens)
-    semi._derive("gens", lambda _: greedy)
+    _check_associative(tab, generating_set(semi))
     if gens is not None:
         for name, idx in gens.items():
             if not 0 <= idx < n:
@@ -277,19 +281,19 @@ def _closure(table, candidates: Iterable[int]) -> tuple[list[int], set[int]]:
     return gens, closed
 
 
-def _generating_set(table) -> list[int]:
-    """A magma generating set: the greedy closure over candidates in order of
-    descending |xS| + |Sx| (ties by index), so elements that reach much of
-    the table come first."""
-    reach = [len(set(row)) + len(set(col)) for row, col in zip(table, zip(*table))]
-    order = sorted(range(len(table)), key=lambda x: -reach[x])
-    return _closure(table, order)[0]
+def _generating_set(S: FiniteSemigroup) -> list[int]:
+    """A magma generating set of S's table, associative or not: the greedy
+    closure over candidates in order of descending |xS| + |Sx| (ties by
+    index), so elements that reach much of the table come first."""
+    reach = [len(set(row)) + len(set(col)) for row, col in zip(S.table, S.columns)]
+    order = sorted(range(len(S)), key=lambda x: -reach[x])
+    return _closure(S.table, order)[0]
 
 
 def generating_set(S: FiniteSemigroup) -> list[int]:
     """The greedy generating set of S (`_generating_set`), computed once per S;
-    `validate` stores the set its associativity test used."""
-    return S._derive("gens", lambda S: _generating_set(S.table))
+    `validate`'s associativity test is its first use."""
+    return S._derive("gens", _generating_set)
 
 
 def _extend_on_generators(table, gens, values, target, right) -> Optional[tuple[int, ...]]:
@@ -458,9 +462,8 @@ def _wl_classes(S: FiniteSemigroup) -> list[int]:
     while True:
         new_sig = []
         for x in range(n):
-            inter = sorted(
-                (ids[y], ids[S.table[x][y]], ids[S.table[y][x]]) for y in range(n)
-            )
+            row, col = S.table[x], S.columns[x]
+            inter = sorted((ids[y], ids[row[y]], ids[col[y]]) for y in range(n))
             new_sig.append((ids[x], tuple(inter)))
         new_ids = _compress(new_sig)
         if max(new_ids) == max(ids):
@@ -579,8 +582,7 @@ def full_transformation_monoid(n: int, act_on_right: bool = False) -> FiniteSemi
 
 
 def opposite(S: FiniteSemigroup) -> FiniteSemigroup:
-    tab = tuple(tuple(S.table[j][i] for j in range(len(S))) for i in range(len(S)))
-    return FiniteSemigroup(S.elements, tab, S.generators)
+    return FiniteSemigroup(S.elements, S.columns, S.generators)
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -6,7 +6,7 @@ assigned in order of least member, which keeps everything deterministic.
 
 from __future__ import annotations
 
-from operator import add, itemgetter
+from operator import add
 from typing import Mapping
 
 from .core import (
@@ -69,8 +69,8 @@ def _green_structure(S: FiniteSemigroup) -> GreenStructure:
     every x a1..ak, so y lies in xS^1 exactly when the right graph has a path
     from x to y (S^1x and S^1xS^1 likewise). The J-order is reachability in
     the two-sided condensation, whose unique sink is the minimum ideal."""
-    table, gens = S.table, generating_set(S)
-    right = list(zip(*(map(itemgetter(g), table) for g in gens)))  # x -> xa
+    table, columns, gens = S.table, S.columns, generating_set(S)
+    right = list(zip(*(columns[g] for g in gens)))  # x -> xa
     left = list(zip(*(table[g] for g in gens)))  # x -> ax
     two = list(map(add, right, left))
     r = _least_member_ids(_sccs(right))
@@ -255,12 +255,13 @@ def letter_cancelative(S: FiniteSemigroup, gen_map: Mapping[str, int]) -> dict:
     out = {"right": True, "left": True, "right_witness": None, "left_witness": None}
     n = len(S)
     for letter, a in gen_map.items():
+        column, row = S.columns[a], S.table[a]  # s -> sa, s -> as
         for s in range(n):
             for t in range(s + 1, n):
-                if out["right"] and S.table[s][a] == S.table[t][a]:
+                if out["right"] and column[s] == column[t]:
                     out["right"] = False
                     out["right_witness"] = (letter, s, t)
-                if out["left"] and S.table[a][s] == S.table[a][t]:
+                if out["left"] and row[s] == row[t]:
                     out["left"] = False
                     out["left_witness"] = (letter, s, t)
     return out

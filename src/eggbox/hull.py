@@ -39,7 +39,7 @@ class Bitranslation:
 
 
 def inner_bitranslation(S: FiniteSemigroup, s: int) -> Bitranslation:
-    return Bitranslation(S.table[s], tuple(row[s] for row in S.table))
+    return Bitranslation(S.table[s], S.columns[s])
 
 
 def left_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
@@ -68,8 +68,8 @@ def _linked(S: FiniteSemigroup, lam: tuple[int, ...], rho: tuple[int, ...]) -> b
     """s lam(g) = (s)rho g for every s and every generator g. That suffices:
     since lam is a left translation, the t with s lam(t) = (s)rho t for all s
     are closed under products, s lam(tu) = s lam(t)u = (s)rho tu."""
-    table = S.table
-    return all(row[lam[g]] == table[r][g] for g in generating_set(S) for row, r in zip(table, rho))
+    columns = S.columns
+    return all(columns[lam[g]] == tuple(map(columns[g].__getitem__, rho)) for g in generating_set(S))
 
 
 def enumerate_hull(S, bound: int = 8) -> frozenset[Bitranslation]:
@@ -170,9 +170,8 @@ class KernelRepresentation:
 def kernel_representation(S: FiniteSemigroup) -> KernelRepresentation:
     ker = tuple(sorted(kernel(S)))
     pos = {k: i for i, k in enumerate(ker)}
-    n = len(S)
-    lam = tuple(tuple(pos[S.table[s][k]] for k in ker) for s in range(n))
-    rho = tuple(tuple(pos[S.table[k][s]] for k in ker) for s in range(n))
+    lam = tuple(tuple(pos[row[k]] for k in ker) for row in S.table)
+    rho = tuple(tuple(pos[col[k]] for k in ker) for col in S.columns)
     return KernelRepresentation(ker, lam, rho)
 
 
@@ -185,9 +184,11 @@ def classify(S: FiniteSemigroup) -> dict:
     """
     ker = kernel(S)
     n = len(S)
-    on_kernel = itemgetter(*ker)
-    left = list(map(on_kernel, S.table))
-    right = list(map(on_kernel, zip(*S.table)))
+    if len(ker) == n:  # the whole rows and columns are the actions
+        left, right = S.table, S.columns
+    else:
+        on_kernel = itemgetter(*ker)
+        left, right = list(map(on_kernel, S.table)), list(map(on_kernel, S.columns))
     lams, rhos = Counter(left), Counter(right)
     wggm = all(lams[left[u]] == 1 and rhos[right[u]] == 1 for u in range(n) if u not in ker)
     lm, rm = len(lams) == n, len(rhos) == n
@@ -200,7 +201,7 @@ def reductivity(S: FiniteSemigroup) -> dict:
     row_ids: dict = {}  # the distinct rows and columns, numbered: each hashed once
     col_ids: dict = {}
     rows = [row_ids.setdefault(row, len(row_ids)) for row in S.table]
-    cols = [col_ids.setdefault(col, len(col_ids)) for col in zip(*S.table)]
+    cols = [col_ids.setdefault(col, len(col_ids)) for col in S.columns]
     return {
         "right_reductive": len(row_ids) == n,
         "left_reductive": len(col_ids) == n,

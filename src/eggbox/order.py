@@ -68,9 +68,8 @@ def _is_closed(S: FiniteSemigroup, leq: set[tuple[int, int]]) -> bool:
     if not all(above[b] <= above[a] for a, b in leq if a != b):
         return False
     images_of = [(a, itemgetter(a, *up)) for a, up in above.items()]  # a, then above[a]
-    table = S.table
     for g in generating_set(S):
-        for image in ([row[g] for row in table], table[g]):  # x -> xg, x -> gx
+        for image in (S.columns[g], S.table[g]):  # x -> xg, x -> gx
             for a, get in images_of:
                 if not above[image[a]].issuperset(get(image)):
                     return False

@@ -288,7 +288,7 @@ class _Program:
     """
 
     def __init__(self, S: FiniteSemigroup, letters, z=None):
-        self.S, self.steps, self._columns = S, [], None
+        self.S, self.steps = S, []
         self.registers = {Letter(ch): i for i, ch in enumerate(letters)}
         self.rows = [False] * len(self.registers)  # per register: is it a row?
         if z is not None:
@@ -307,7 +307,7 @@ class _Program:
         if self.rows[b]:
             return self._step(lambda p, W: list(map(table[p].__getitem__, W)), a, b, True)
         if self.rows[a]:
-            columns = self._columns = self._columns or list(zip(*table))
+            columns = self.S.columns
             return self._step(lambda V, q: list(map(columns[q].__getitem__, V)), a, b, True)
         return self._step(lambda p, q: table[p][q], a, b, False)
 

@@ -229,6 +229,21 @@ def test_deeply_nested_terms_are_rejected(tmp_path, capsys, z2, term, pos):
 
 
 @pytest.mark.parametrize(
+    "argv, source",
+    [(["classify", "{}"], "{}"), (["analyze", "-"], "-"),
+     (["construct", "rees", "--sandwich", "[" * 100_000], "--sandwich")],
+    ids=["file", "stdin", "sandwich"],
+)
+def test_deeply_nested_json_exits_2(tmp_path, capsys, monkeypatch, argv, source):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = [arg.format(path) for arg in argv]
+    code, out, err = run(capsys, argv, stdin="[" * 100_000, monkeypatch=monkeypatch)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read JSON from {source.format(path)}: nested too deeply\n"
+
+
+@pytest.mark.parametrize(
     "doc, path",
     [
         ({"elements": ["a"], "table": None}, "table"),

@@ -347,7 +347,8 @@ def test_validate_matches_full_scan_on_random_magmas():
     assert {"ok", "NonAssociativeError", "OutOfRangeError"} <= kinds
 
 
-def test_generating_set_generates_as_a_magma():
+def magma_tables():
+    """Semigroup tables, corrupted copies of some, and random magma tables."""
     rng = random.Random(53)
     tables = [table for _, table in validation_pool()]
     tables += [rows for table in tables[:20] for rows in corruptions(table, rng, 2)]
@@ -355,9 +356,12 @@ def test_generating_set_generates_as_a_magma():
         [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         for n in (rng.randint(1, 7) for _ in range(100))
     ]
-    for table in tables:
-        table = tuple(map(tuple, table))
-        gens = core._generating_set(table)
+    return [tuple(map(tuple, table)) for table in tables]
+
+
+def test_generating_set_generates_as_a_magma():
+    for table in magma_tables():
+        gens = core._generating_set(core.FiniteSemigroup(tuple(map(str, range(len(table)))), table))
         assert len(set(gens)) == len(gens)
         assert magma_closure(table, gens) == set(range(len(table)))
 

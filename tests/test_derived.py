@@ -1,4 +1,5 @@
-"""Derived data kept on a FiniteSemigroup: omega tables and Green structure.
+"""Derived data kept on a FiniteSemigroup: columns, omega tables and Green
+structure.
 
 Each fast path is compared against the plain definition it replaced, on
 random transformation semigroups built with a fixed seed.
@@ -9,7 +10,7 @@ import random
 
 from eggbox import cli, constructions, core, green, hull
 from conftest import random_transformation_semigroup, s3_table, small_library
-from test_core import oracle_omega
+from test_core import magma_tables, oracle_omega
 
 
 def samples(seed, count, max_size=120):
@@ -118,6 +119,95 @@ def test_omega_tables_match_oracle():
             assert S.mul(w, m) == m  # x^(w-1) lies in the group of x^w
 
 
+# --- the transposed table: verbatim copies of the code that built it per caller
+
+def old_generating_set(table):
+    reach = [len(set(row)) + len(set(col)) for row, col in zip(table, zip(*table))]
+    order = sorted(range(len(table)), key=lambda x: -reach[x])
+    return core._closure(table, order)[0]
+
+
+def old_opposite(S):
+    tab = tuple(tuple(S.table[j][i] for j in range(len(S))) for i in range(len(S)))
+    return core.FiniteSemigroup(S.elements, tab, S.generators)
+
+
+def old_inner_bitranslation(S, s):
+    return hull.Bitranslation(S.table[s], tuple(row[s] for row in S.table))
+
+
+def old_letter_cancelative(S, gen_map):
+    from eggbox.core import GeneratorsDoNotGenerateError, generated_subsemigroup
+
+    if generated_subsemigroup(S, gen_map.values()) != frozenset(range(len(S))):
+        raise GeneratorsDoNotGenerateError("letter images must generate the semigroup")
+    out = {"right": True, "left": True, "right_witness": None, "left_witness": None}
+    n = len(S)
+    for letter, a in gen_map.items():
+        for s in range(n):
+            for t in range(s + 1, n):
+                if out["right"] and S.table[s][a] == S.table[t][a]:
+                    out["right"] = False
+                    out["right_witness"] = (letter, s, t)
+                if out["left"] and S.table[a][s] == S.table[a][t]:
+                    out["left"] = False
+                    out["left_witness"] = (letter, s, t)
+    return out
+
+
+def old_wl_classes(S):
+    n = len(S)
+    sig = []
+    for x in range(n):
+        tail, period = core.cycle_index_period(S, x)
+        sig.append((tail, period, S.is_idempotent(x)))
+    ids = core._compress(sig)
+    while True:
+        new_sig = []
+        for x in range(n):
+            inter = sorted(
+                (ids[y], ids[S.table[x][y]], ids[S.table[y][x]]) for y in range(n)
+            )
+            new_sig.append((ids[x], tuple(inter)))
+        new_ids = core._compress(new_sig)
+        if max(new_ids) == max(ids):
+            return ids
+        ids = new_ids
+
+
+def column_cases():
+    return (list(small_library().values()) + [constructions.k_p(p) for p in (2, 3, 5, 7)]
+            + samples(27, 30))
+
+
+def test_columns_are_the_transposed_table_built_once():
+    built = column_cases() + [core.opposite(core.full_transformation_monoid(3)),
+                              core.direct_product(core.u1(), constructions.k_p(3))]
+    validated = [core.from_dict(core.to_dict(S)) for S in built]
+    for S in built + validated:
+        assert S.columns == tuple(zip(*S.table))
+        assert S.columns is S.columns
+    assert all("columns" in S._derived for S in validated)  # the generator ranking read them
+
+
+def test_column_readers_match_the_per_caller_transposes():
+    for S in column_cases():
+        assert core.generating_set(S) == old_generating_set(S.table)
+        opp, old = core.opposite(S), old_opposite(S)
+        assert (opp.elements, opp.table, opp.generators) == (old.elements, old.table, old.generators)
+        for s in range(len(S)):
+            assert hull.inner_bitranslation(S, s) == old_inner_bitranslation(S, s)
+        gens = core.generating_set(S)
+        for gen_map in ({f"g{i}": g for i, g in enumerate(gens)},
+                        {str(x): x for x in reversed(range(len(S)))}):
+            assert green.letter_cancelative(S, gen_map) == old_letter_cancelative(S, gen_map)
+        if len(S) <= 40:
+            assert core._wl_classes(S) == old_wl_classes(S)
+    for table in magma_tables():
+        S = core.FiniteSemigroup(tuple(map(str, range(len(table)))), table)
+        assert core._generating_set(S) == old_generating_set(table)
+
+
 # --- the cache itself ----------------------------------------------------------
 
 def test_deriving_keeps_the_instance_layout():
@@ -126,9 +216,10 @@ def test_deriving_keeps_the_instance_layout():
     core.omega_power(S, 0)
     green.green_structure(S)
     hull.kernel_representation(S)
-    assert set(S._derived) == {"omega", "green", "gens"}  # the Cayley graphs' generators
+    # the Cayley graphs' generators, ranked and followed along the columns
+    assert set(S._derived) == {"omega", "green", "gens", "columns"}
     core.small_generating_set(S)
-    assert set(S._derived) == {"omega", "green", "gens"}
+    assert set(S._derived) == {"omega", "green", "gens", "columns"}
     assert list(vars(S)) == keys
 
 
@@ -163,14 +254,14 @@ def test_analyze_builds_green_structure_once(tmp_path, capsys, monkeypatch):
 def test_hull_builds_the_generating_set_once_per_table(tmp_path, capsys, monkeypatch):
     calls = []
     real = core._generating_set
-    monkeypatch.setattr(core, "_generating_set", lambda table: calls.append(table) or real(table))
+    monkeypatch.setattr(core, "_generating_set", lambda S: calls.append(S) or real(S))
     S = core.full_transformation_monoid(2)
     path = tmp_path / "t2.json"
     path.write_text(json.dumps(core.to_dict(S)))
     assert cli.main(["hull", str(path)]) == 0
     capsys.readouterr()
     # validate's set is kept for S; the right translations need opposite(S)
-    assert calls == [S.table, core.opposite(S).table]
+    assert calls == [S, core.opposite(S)]
     T = core.validate(S.elements, S.table)
     assert core.generating_set(T) is core.generating_set(T)
     core.small_generating_set(T)
