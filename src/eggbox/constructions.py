@@ -59,6 +59,28 @@ def _require_group(G: FiniteSemigroup) -> None:
             raise NotAGroupError(f"element {x} has no inverse")
 
 
+def rees_sandwich(
+    a_size: int,
+    group: FiniteSemigroup,
+    b_size: int,
+    sandwich: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """The sandwich of M(A, G, B; P) as int tuples, after checking that the
+    index sets are nonempty, G is a group and P is a B x A matrix over G."""
+    if a_size < 1 or b_size < 1:
+        raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
+    _require_group(group)
+    ng = len(group)
+    P = tuple(tuple(int(v) for v in row) for row in sandwich)
+    if len(P) != b_size or any(len(row) != a_size for row in P):
+        raise ShapeMismatchError(f"sandwich must be {b_size}x{a_size}")
+    for row in P:
+        for v in row:
+            if not 0 <= v < ng:
+                raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
+    return P
+
+
 def rees_matrix(
     a_size: int,
     group: FiniteSemigroup,
@@ -71,30 +93,14 @@ def rees_matrix(
     triples. The result is completely simple by construction, so no
     associativity rescan is performed.
     """
-    if a_size < 1 or b_size < 1:
-        raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
-    _require_group(group)
+    P = rees_sandwich(a_size, group, b_size, sandwich)
     ng = len(group)
-    P = tuple(tuple(int(v) for v in row) for row in sandwich)
-    if len(P) != b_size or any(len(row) != a_size for row in P):
-        raise ShapeMismatchError(f"sandwich must be {b_size}x{a_size}")
-    for row in P:
-        for v in row:
-            if not 0 <= v < ng:
-                raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
-
     mul = group.table
     triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
     labels = [f"({a},{group.elements[g]},{b})" for (a, g, b) in triples]
     return from_function(
         triples, lambda x, y: (x[0], mul[mul[x[1]][P[x[2]][y[0]]]][y[1]], y[2]), labels
     )
-
-
-def rees_indexer(ng: int, b_size: int) -> Callable[[int, int, int], int]:
-    """The index of (a, g, b) in rees_matrix's lexicographic element order,
-    for a group of order ng and b_size L-classes."""
-    return lambda a, g, b: (a * ng + g) * b_size + b
 
 
 def realize(rm: ReesMatrixSemigroup) -> FiniteSemigroup:

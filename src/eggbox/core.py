@@ -283,9 +283,9 @@ def _closure(table, candidates: Iterable[int]) -> tuple[list[int], set[int]]:
 
 def _generating_set(S: FiniteSemigroup) -> list[int]:
     """A magma generating set of S's table, associative or not: the greedy
-    closure over candidates in order of descending |xS| + |Sx| (ties by
-    index), so elements that reach much of the table come first."""
-    reach = [len(set(row)) + len(set(col)) for row, col in zip(S.table, S.columns)]
+    closure over candidates in order of descending |xS| (ties by index), read
+    off the rows, so elements that reach much of the table come first."""
+    reach = [len(set(row)) for row in S.table]
     order = sorted(range(len(S)), key=lambda x: -reach[x])
     return _closure(S.table, order)[0]
 

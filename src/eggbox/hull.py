@@ -21,6 +21,7 @@ from .core import (
     record,
     small_generating_set,
     _extend_on_generators,
+    omega_tables,
 )
 from .green import (
     ReesMatrixSemigroup,
@@ -29,7 +30,7 @@ from .green import (
     is_completely_simple,
     kernel,
 )
-from .constructions import realize, rees_indexer
+from .constructions import rees_sandwich
 
 
 @record(order=True)
@@ -90,53 +91,37 @@ def enumerate_hull(S, bound: int = 8) -> frozenset[Bitranslation]:
 
 
 def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
-    """Bitranslations of a Rees matrix semigroup via the parametrized form.
+    """Bitranslations of a Rees matrix semigroup M(A, G, B; P), by solving
+    the linking equations (Petrich, "The translational hull of a completely
+    0-simple semigroup", 1968).
 
     Left translations are (a,g,b) -> (phi(a), mu(a)g, b) and right
     translations (a,g,b) -> (a, g nu(b), psi(b)); a pair is linked exactly
-    when nu(b) P(psi(b), a) = P(b, phi(a)) mu(a) for all a, b. The equation
-    for one b involves only psi(b) and nu(b), so the rights linked to a left
-    are the product over b of the values (psi(b), nu(b)) whose row
-    (nu(b) P(psi(b), a))_a equals (P(b, phi(a)) mu(a))_a.
+    when nu(b) P(psi(b), a) = P(b, phi(a)) mu(a) for all a, b. Fix phi, psi
+    and m = mu(0). The equations at a = 0 force
+    nu(b) = P(b, phi(0)) m P(psi(b), 0)^-1, then those at b = 0 force
+    mu(a) = P(0, phi(a))^-1 nu(0) P(psi(0), a), and the rest are checked.
+    A linked pair fixes phi, mu, psi and nu, hence (phi, psi, mu(0)), and
+    that triple forces the rest: each linked pair is found exactly once, in
+    A^A B^B |G| A B steps. The input is checked as rees_matrix checks it,
+    without building the table.
     """
-    A, B, G, P = rm.a_size, rm.b_size, rm.group, rm.sandwich
-    ng = len(G)
-    n = len(realize(rm))  # realize also checks the group and the sandwich
-    idx = rees_indexer(ng, B)
-
-    rights = {}
-    for psi in itertools.product(range(B), repeat=B):
-        for nu in itertools.product(range(ng), repeat=B):
-            rho = [0] * n
-            for a in range(A):
-                for g in range(ng):
-                    for b in range(B):
-                        rho[idx(a, g, b)] = idx(a, G.table[g][nu[b]], psi[b])
-            rights[psi, nu] = tuple(rho)
-    links: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for p in range(B):
-        for v in range(ng):
-            row = tuple(G.table[v][P[p][a]] for a in range(A))
-            links.setdefault(row, []).append((p, v))
-
-    out = set()
+    A, B, G = rm.a_size, rm.b_size, rm.group
+    P = rees_sandwich(A, G, B, rm.sandwich)
+    mul, inv, ng = G.table, omega_tables(G)[1], len(G)  # x^(w-1) inverts x in a group
+    out = []  # (a, g, b) is element (a*ng + g)*B + b, as rees_matrix orders them
     for phi in itertools.product(range(A), repeat=A):
-        for mu in itertools.product(range(ng), repeat=A):
-            options = [
-                links.get(tuple(G.table[P[b][phi[a]]][mu[a]] for a in range(A)), ())
-                for b in range(B)
-            ]
-            if not all(options):
-                continue
-            lam = [0] * n
-            for a in range(A):
-                for g in range(ng):
-                    for b in range(B):
-                        lam[idx(a, g, b)] = idx(phi[a], G.table[mu[a]][g], b)
-            lam = tuple(lam)
-            for choice in itertools.product(*options):
-                psi, nu = zip(*choice)
-                out.add(Bitranslation(lam, rights[psi, nu]))
+        for psi in itertools.product(range(B), repeat=B):
+            for m in range(ng):
+                nu = [mul[mul[P[b][phi[0]]][m]][inv[P[psi[b]][0]]] for b in range(B)]
+                mu = [mul[mul[inv[P[0][phi[a]]]][nu[0]]][P[psi[0]][a]] for a in range(A)]
+                if all(mul[nu[b]][P[psi[b]][a]] == mul[P[b][phi[a]]][mu[a]]
+                       for a in range(A) for b in range(B)):
+                    lam = ((phi[a] * ng + h) * B + b
+                           for a in range(A) for h in mul[mu[a]] for b in range(B))
+                    rho = ((a * ng + mul[g][nu[b]]) * B + psi[b]
+                           for a in range(A) for g in range(ng) for b in range(B))
+                    out.append(Bitranslation(tuple(lam), tuple(rho)))
     return frozenset(out)
 
 

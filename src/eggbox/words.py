@@ -242,20 +242,22 @@ def characteristic_spans(letters: tuple[str, ...], k: int) -> list[tuple[int, in
     return spans
 
 
-def _find_factor(hay: tuple[str, ...], needle: tuple[str, ...], start: int = 0) -> int:
-    m, k = len(hay), len(needle)
-    for i in range(start, m - k + 1):
-        if hay[i : i + k] == needle:
-            return i
-    return -1
+def _coded(*words: tuple[str, ...]) -> list[str]:
+    """The words as strings of one character per distinct letter (a letter
+    can be several characters long), so factors are substrings at the same
+    positions."""
+    code: dict[str, str] = {}
+    return ["".join([code.setdefault(a, chr(len(code))) for a in w]) for w in words]
 
 
 def _occurrences(hay: tuple[str, ...], needle: tuple[str, ...]) -> list[int]:
+    """Every position of needle in hay as a factor, overlapping ones included."""
+    h, n = _coded(hay, needle)
     out = []
-    i = _find_factor(hay, needle)
+    i = h.find(n)
     while i >= 0:
         out.append(i)
-        i = _find_factor(hay, needle, i + 1)
+        i = h.find(n, i + 1)
     return out
 
 
@@ -276,7 +278,7 @@ def stretch_word(
     if len(s) < 2 or s.letters[-1] != s.letters[-2]:
         raise PreconditionViolatedError("t_2(s) must be the square of a letter")
     a = s.letters[-1]
-    if _find_factor(x.letters, s.letters) >= 0:
+    if str.find(*_coded(x.letters, s.letters)) >= 0:
         raise PreconditionViolatedError("s must not be a factor of x")
     if alphabet is None:
         sigma = sorted(content(x) | content(s) | {c for v in avoid_set for c in v})
@@ -314,7 +316,7 @@ def connect_word(w: WordLike, a: str, b: str) -> Word:
     else:
         big = w.letters + (a,) * len(w) + w.letters
         aw = (a,) + w.letters
-        i = _find_factor(big, aw)
+        i = str.find(*_coded(big, aw))
         if i < 0:
             raise RuntimeError("a*w must occur in w a^|w| w")
         t = Word(big[len(w) : i + len(aw)])

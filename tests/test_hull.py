@@ -425,6 +425,95 @@ def test_enumerate_hull_rees_matches_all_pairs():
         assert hull.enumerate_hull_rees(rm) == old_enumerate_hull_rees(rm), (a, b, len(G), P)
 
 
+def per_b_enumerate_hull_rees(rm):
+    """enumerate_hull_rees as it was before the linking equations were solved
+    for (phi, psi, mu(0)), copied verbatim but for the index function, which
+    was constructions.rees_indexer."""
+    A, B, G, P = rm.a_size, rm.b_size, rm.group, rm.sandwich
+    ng = len(G)
+    n = len(cons.realize(rm))  # realize also checks the group and the sandwich
+
+    def idx(a, g, b):
+        return (a * ng + g) * B + b
+
+    rights = {}
+    for psi in itertools.product(range(B), repeat=B):
+        for nu in itertools.product(range(ng), repeat=B):
+            rho = [0] * n
+            for a in range(A):
+                for g in range(ng):
+                    for b in range(B):
+                        rho[idx(a, g, b)] = idx(a, G.table[g][nu[b]], psi[b])
+            rights[psi, nu] = tuple(rho)
+    links: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for p in range(B):
+        for v in range(ng):
+            row = tuple(G.table[v][P[p][a]] for a in range(A))
+            links.setdefault(row, []).append((p, v))
+
+    out = set()
+    for phi in itertools.product(range(A), repeat=A):
+        for mu in itertools.product(range(ng), repeat=A):
+            options = [
+                links.get(tuple(G.table[P[b][phi[a]]][mu[a]] for a in range(A)), ())
+                for b in range(B)
+            ]
+            if not all(options):
+                continue
+            lam = [0] * n
+            for a in range(A):
+                for g in range(ng):
+                    for b in range(B):
+                        lam[idx(a, g, b)] = idx(phi[a], G.table[mu[a]][g], b)
+            lam = tuple(lam)
+            for choice in itertools.product(*options):
+                psi, nu = zip(*choice)
+                out.add(hull.Bitranslation(lam, rights[psi, nu]))
+    return frozenset(out)
+
+
+def test_enumerate_hull_rees_matches_the_per_b_matching():
+    rng = random.Random(17)
+    cases = [cons.kp_rees(p) for p in (2, 3, 5, 7, 11, 13)]
+    groups = [core.cyclic_group(1), core.cyclic_group(3), core.cyclic_group(4), s3_table()]
+    for i in range(32):
+        G = groups[i % len(groups)]
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        P = tuple(tuple(rng.randrange(len(G)) for _ in range(a)) for _ in range(b))
+        cases.append(green.ReesMatrixSemigroup(a, b, G, P))
+    assert any(any(rm.sandwich[0]) for rm in cases[6:])  # a first row off the identity 0
+    for rm in cases:
+        assert hull.enumerate_hull_rees(rm) == per_b_enumerate_hull_rees(rm), rm
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_hull_size_of_kp(p):
+    """With P(b, a) = ab, the linking equations of K_p reduce to
+    phi(0) - phi(1) = psi(0) - psi(1) mod p, over 0/1-valued phi and psi, and
+    m = mu(0) is free. Over the integers that is 6 pairs (phi, psi); at p = 2
+    a difference of 1 also matches one of -1, which adds 2."""
+    pairs = 6 if p > 2 else 8
+    assert len(hull.enumerate_hull_rees(cons.kp_rees(p))) == pairs * p
+
+
+@pytest.mark.parametrize(
+    "rm",
+    [
+        green.ReesMatrixSemigroup(2, 2, core.u1(), ((0, 0), (0, 1))),  # not a group
+        green.ReesMatrixSemigroup(2, 2, core.cyclic_group(2), ((0, 0),)),  # one row short
+        green.ReesMatrixSemigroup(2, 1, core.cyclic_group(2), ((0, 2),)),  # 2 is not in Z2
+        green.ReesMatrixSemigroup(0, 1, core.cyclic_group(2), ()),
+    ],
+)
+def test_enumerate_hull_rees_rejects_what_realize_rejects(rm):
+    with pytest.raises(core.SemigroupError) as expected:
+        cons.realize(rm)
+    with pytest.raises(core.SemigroupError) as got:
+        hull.enumerate_hull_rees(rm)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
 # --- the brute-force enumerators as they were before core._extend_on_generators --
 
 def old_factor_with_prefix(S, gens):

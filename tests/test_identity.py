@@ -115,9 +115,13 @@ def test_rees_matrix_over_a_1x1_rees_group():
 
 def old_rees_table(a_size, group, b_size, P):
     """rees_matrix's index loop before it built through from_function,
-    copied verbatim from the line after the sandwich checks."""
+    copied verbatim from the line after the sandwich checks, but for the
+    index function, which was constructions.rees_indexer."""
     ng = len(group)
-    idx = cons.rees_indexer(ng, b_size)
+
+    def idx(a, g, b):
+        return (a * ng + g) * b_size + b
+
     triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
     tab = []
     for (a, g, b) in triples:

@@ -253,3 +253,42 @@ def test_connect_word_postconditions_random():
         hits = [i for i in range(len(wt)) if wt.startswith(aw, i)]
         assert hits == [len(wt) - len(aw)]
         assert bw not in wt
+
+
+def slice_find_factor(hay, needle, start=0):
+    """words._find_factor as it was before str.find over the letter code: a
+    slice compared at every offset."""
+    m, k = len(hay), len(needle)
+    for i in range(start, m - k + 1):
+        if hay[i : i + k] == needle:
+            return i
+    return -1
+
+
+def slice_occurrences(hay, needle):
+    out = []
+    i = slice_find_factor(hay, needle)
+    while i >= 0:
+        out.append(i)
+        i = slice_find_factor(hay, needle, i + 1)
+    return out
+
+
+def test_factor_scans_match_the_slice_scans():
+    rng = random.Random(44)
+    # multi-character letters whose characters also occur as letters
+    alphabets = [("a", "b"), ("a", "b", "c"), ("ab", "a", "b", "ba"), ("aa", "a", "xyz")]
+    overlapping = 0
+    for k in range(3000):
+        sigma = alphabets[k % len(alphabets)]
+        hay = tuple(rng.choice(sigma) for _ in range(rng.randint(0, 30)))
+        if hay and rng.random() < 0.5:  # a factor of hay, so it occurs
+            i = rng.randrange(len(hay))
+            needle = hay[i : i + rng.randint(1, 4)]
+        else:
+            needle = tuple(rng.choice(sigma) for _ in range(rng.randint(1, 4)))
+        occ = words._occurrences(hay, needle)
+        assert occ == slice_occurrences(hay, needle), (hay, needle)
+        assert str.find(*words._coded(hay, needle)) == slice_find_factor(hay, needle)
+        overlapping += any(j - i < len(needle) for i, j in zip(occ, occ[1:]))
+    assert overlapping > 100
