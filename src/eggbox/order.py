@@ -10,8 +10,9 @@ is both necessary and sufficient.
 from __future__ import annotations
 
 from collections import deque
+from itertools import filterfalse, islice, product
 from operator import itemgetter
-from typing import Collection, Iterable, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .core import (
     BoundExceededError,
@@ -159,35 +160,55 @@ def _close(
     return rel, violation
 
 
-def _stable_order(
-    S: FiniteSemigroup,
-    seed: tuple[int, int],
-    bad: Collection[tuple[int, int]],
-    base: Iterable[tuple[int, int]] = (),
-) -> Optional[frozenset[tuple[int, int]]]:
-    """The closure of base and seed when it is a stable order, else None."""
-    rel, violation = _close(S, [seed], stop=True, base=base, bad=bad)
-    return None if violation is not None else frozenset(rel) | _diagonal(len(S))
+def _stable_orders(S: FiniteSemigroup) -> Iterator[frozenset[tuple[int, int]]]:
+    """The off-diagonal parts of the stable orders on S: the trivial one
+    first, then the rest in the order a breadth-first search over closures
+    finds them.
+
+    Every stable order is reached from the trivial one by repeatedly closing
+    over one extra pair, so the search is exhaustive. Each closure stops at
+    its first reversed pair. A seed that fails on the trivial order (and its
+    reverse) fails on every base, so it is skipped from then on and ends any
+    later closure that reaches it.
+    """
+    n = len(S)
+    trivial: frozenset[tuple[int, int]] = frozenset()
+    yield trivial
+    seen = {trivial}
+    queue = deque([trivial])
+    bad: set[tuple[int, int]] = set()
+    while queue:
+        base = queue.popleft()
+        # the seeds in lexicographic order; bad is read as the search goes
+        for seed in filterfalse(bad.__contains__, product(range(n), repeat=2)):
+            s, t = seed
+            if s == t or seed in base:
+                continue
+            rel, violation = _close(S, [seed], stop=True, base=base, bad=bad)
+            if violation is not None:
+                if not base:
+                    bad.update((seed, (t, s)))
+                continue
+            rel = frozenset(rel)
+            if rel not in seen:
+                seen.add(rel)
+                queue.append(rel)
+                yield rel
 
 
 def is_orderable(S: FiniteSemigroup) -> tuple[bool, Optional[OrderedSemigroup]]:
     """Does S admit a nontrivial stable partial order?
 
-    The witness is the stable closure of the first orderable seed pair (s, t),
-    s != t, in lexicographic order. The closure of (t, s) is the order dual
-    of that of (s, t), so the first orderable seed has s < t and only those
-    are closed. A failed seed fails inside every closure that reaches it or
-    its reverse, so such closures stop there.
+    The witness is the second order _stable_orders finds: the stable closure
+    of the first orderable seed pair (s, t), s != t, in lexicographic order.
+    The closure of (t, s) is the order dual of that of (s, t), so the first
+    orderable seed has s < t: each (t, s) before it is skipped once (s, t)
+    has failed.
     """
-    n = len(S)
-    bad: set[tuple[int, int]] = set()
-    for s in range(n):
-        for t in range(s + 1, n):
-            rel = _stable_order(S, (s, t), bad)
-            if rel is not None:
-                return True, OrderedSemigroup(S, rel)
-            bad.update(((s, t), (t, s)))
-    return False, None
+    rel = next(islice(_stable_orders(S), 1, None), None)
+    if rel is None:
+        return False, None
+    return True, OrderedSemigroup(S, rel | _diagonal(len(S)))
 
 
 def enumerate_stable_orders(
@@ -195,37 +216,17 @@ def enumerate_stable_orders(
 ) -> list[OrderedSemigroup]:
     """All stable partial orders on S, via closure-based search.
 
-    Every stable order is reached from the trivial one by repeatedly closing
-    over one extra pair, so a breadth-first search over closures is
-    exhaustive. A limit k stops it at the k-th order found; without one the
-    carrier is capped at 6 elements. Seeds that fail on the trivial order
-    (and their reverses) fail on every base.
+    A limit k stops the search at the k-th order found; without one the
+    carrier is capped at 6 elements.
     """
     n = len(S)
     if limit is None and n > 6:
         raise BoundExceededError(f"|S|={n} needs an explicit limit")
     if limit is not None and limit < 1:
         raise OrderError(f"limit must be at least 1, got {limit}")
-    trivial = _diagonal(n)
-    seen = {trivial}
-    queue = deque([trivial])
-    bad: set[tuple[int, int]] = set()
-    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    while queue and len(seen) != limit:
-        base = queue.popleft()
-        for s, t in pairs:
-            if (s, t) in base or (s, t) in bad:
-                continue
-            rel = _stable_order(S, (s, t), bad, base)
-            if rel is None:
-                if base is trivial:
-                    bad.update(((s, t), (t, s)))
-            elif rel not in seen:
-                seen.add(rel)
-                queue.append(rel)
-                if len(seen) == limit:
-                    break
-    return [OrderedSemigroup(S, rel) for rel in sorted(seen, key=sorted)]
+    diagonal = _diagonal(n)
+    found = [rel | diagonal for rel in islice(_stable_orders(S), limit)]
+    return [OrderedSemigroup(S, rel) for rel in sorted(found, key=sorted)]
 
 
 def unorderability_report(S: FiniteSemigroup) -> dict:
@@ -309,7 +310,8 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
     transformations induced by nonempty words; u <= v holds when every
     context accepting v accepts u. Returns the ordered semigroup (labels are
     shortest witness words, a multi-character letter in brackets as in
-    terms.term_to_text) and the map from letters to element indices.
+    terms.term_to_text) and the map from letters to element indices, which
+    is the semigroup's `generators`.
     """
     t = _complete_and_trim(d)
     idx = {q: i for i, q in enumerate(t.states)}
@@ -342,28 +344,21 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
     transforms: list[tuple[int, ...]] = []
     words: list[str] = []
     pos: dict[tuple[int, ...], int] = {}
-    queue = deque()
-    for a in t.alphabet:
-        tf = letter_tf[a]
-        if tf not in pos:
-            pos[tf] = len(transforms)
-            transforms.append(tf)
-            words.append(text[a])
-            queue.append(tf)
+    queue = deque([(tuple(range(nq)), "")])  # the empty word, which is no element
     while queue:
-        tf = queue.popleft()
-        w = words[pos[tf]]
+        tf, w = queue.popleft()
         for a in t.alphabet:
-            tf2 = tuple(letter_tf[a][tf[q]] for q in range(nq))
+            tf2 = tuple(letter_tf[a][q] for q in tf)
             if tf2 not in pos:
                 pos[tf2] = len(transforms)
                 transforms.append(tf2)
                 words.append(w + text[a])
-                queue.append(tf2)
+                queue.append((tf2, words[-1]))
 
     size = len(transforms)
+    gens = {a: pos[letter_tf[a]] for a in t.alphabet}
     table = from_function(transforms, lambda f, g: tuple(map(g.__getitem__, f)), words).table
-    S = FiniteSemigroup(tuple(words), table, {a: pos[letter_tf[a]] for a in t.alphabet})
+    S = FiniteSemigroup(tuple(words), table, gens)
     # a stable partial order by construction: incl is reflexive and
     # transitive and preserved by letters, and two class transformations
     # that include each other's languages everywhere are equal
@@ -373,7 +368,7 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
         for j in range(size)
         if all(incl[transforms[j][q]][transforms[i][q]] for q in range(nq))
     )
-    return OrderedSemigroup(S, leq), {a: pos[letter_tf[a]] for a in t.alphabet}
+    return OrderedSemigroup(S, leq), gens
 
 
 def concat_letter(d: Dfa, a: str) -> Dfa:

@@ -19,8 +19,8 @@ from .words import (
     Word,
     EmptyWordError,
     characteristic_spans,
-    coerce,
     i_n,
+    letter_tuple,
     marker_positions,
     t_n,
 )
@@ -468,30 +468,23 @@ def pseudovariety_basis(name: str) -> list[tuple[Term, Term]]:
     if name in _FIXED_BASES:
         pairs = _FIXED_BASES[name]
         return [(parse_term(l), parse_term(r)) for l, r in pairs]
-    m = re.fullmatch(r"D(\d+)", name)
-    if m:
-        ns = int(m.group(1))
-        if not 1 <= ns <= len(_VAR_POOL):
-            raise UnknownPseudovarietyError(f"unsupported degree in {name!r}")
-        ys = _VAR_POOL[:ns]
-        return [(parse_term("x" + ys), parse_term(ys))]
-    m = re.fullmatch(r"K(\d+)", name)
-    if m:
-        ns = int(m.group(1))
-        if not 1 <= ns <= len(_VAR_POOL):
-            raise UnknownPseudovarietyError(f"unsupported degree in {name!r}")
-        xs = _VAR_POOL[:ns]
-        return [(parse_term(xs + "y"), parse_term(xs))]
-    m = re.fullmatch(r"Ab(\d+)", name)
-    if m:
-        ns = int(m.group(1))
+    m = re.fullmatch(r"(D|K|Ab)(\d+)", name)
+    if m is None:
+        raise UnknownPseudovarietyError(f"unknown pseudovariety {name!r}")
+    family, ns = m.group(1), int(m.group(2))
+    if family == "Ab":
         if ns < 1:
             raise UnknownPseudovarietyError(f"unsupported exponent in {name!r}")
         return [
             (parse_term(f"x^{ns} y" if ns > 1 else "x y"), parse_term("y")),
             (parse_term("xy"), parse_term("yx")),
         ]
-    raise UnknownPseudovarietyError(f"unknown pseudovariety {name!r}")
+    if not 1 <= ns <= len(_VAR_POOL):
+        raise UnknownPseudovarietyError(f"unsupported degree in {name!r}")
+    ys = _VAR_POOL[:ns]
+    if family == "D":
+        return [(parse_term("x" + ys), parse_term(ys))]
+    return [(parse_term(ys + "y"), parse_term(ys))]
 
 
 def pseudovariety_membership(S: FiniteSemigroup, name: str):
@@ -577,12 +570,7 @@ def _encode(ctx: tuple[str, ...], term: Term, n: int):
         return (concat(pieces) if pieces else None), ctx
     e = term.exp
     if isinstance(e, int):
-        pieces = []
-        for _ in range(e):
-            ph, ctx = _encode(ctx, term.base, n)
-            if ph is not None:
-                pieces.append(ph)
-        return (concat(pieces) if pieces else None), ctx
+        return _encode(ctx, concat([term.base] * e), n)
     # omega power: raise the base so its unfolded length is at least n,
     # then use Phi_n(c u^w) = Phi_n(c u) Phi_n(t_n(u) u)^(w-1) and its shifts.
     k = e.k
@@ -756,7 +744,7 @@ def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
     group, which is completely regular), so the words themselves are
     compared in place of their keys.
     """
-    u, v = coerce(u).letters, coerce(v).letters
+    u, v = letter_tuple(u), letter_tuple(v)
     if not u or not v:
         raise EmptyWordError("the word problem needs nonempty words")
     if set(u) != set(v):
@@ -775,4 +763,4 @@ def equal_in_crh(u, v, h: GroupSpec) -> tuple[bool, Optional[str]]:
 
 def crh_class_key(u, h: GroupSpec):
     """The canonical key of a word; equal keys mean equal over CR meet H-bar."""
-    return _crh_key(coerce(u).letters, h, {})
+    return _crh_key(letter_tuple(u), h, {})

@@ -37,10 +37,6 @@ class AvoidSetTooLargeError(WordError):
 class Word:
     letters: tuple[str, ...] = ()
 
-    @classmethod
-    def from_text(cls, text: str) -> "Word":
-        return cls(tuple(text))
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -71,11 +67,13 @@ WordLike = Union[Word, str, Iterable[str]]
 
 
 def coerce(w: WordLike) -> Word:
-    if isinstance(w, Word):
-        return w
-    if isinstance(w, str):
-        return Word.from_text(w)
-    return Word(tuple(w))
+    return w if isinstance(w, Word) else Word(letter_tuple(w))
+
+
+def letter_tuple(w: WordLike) -> tuple[str, ...]:
+    """The letters of a word, without building a Word: a string is read
+    one character per letter."""
+    return w.letters if isinstance(w, Word) else tuple(w)
 
 
 def content(w: WordLike) -> frozenset[str]:

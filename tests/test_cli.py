@@ -377,6 +377,24 @@ def test_construct_rees_1x1_writes_its_identity(capsys):
     assert code == 0 and json.loads(out)["identity"] == 2
 
 
+@pytest.mark.parametrize("shape", [["--a", "1", "--b", "1"], ["--a", "2", "--b", "1", "--sandwich", "[[1, 2]]"]],
+                         ids=["1x1", "2x1-sandwich"])
+def test_construct_rees_reads_the_group_from_a_file(tmp_path, capsys, z3, shape):
+    path = write_semigroup(tmp_path, "z3.json", z3)
+    by_name = run(capsys, ["construct", "rees", *shape, "--group", "z:3"])
+    by_file = run(capsys, ["construct", "rees", *shape, "--group", path])
+    assert by_name[0] == 0 and by_file == by_name
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_generator_out_of_range_exits_2(tmp_path, capsys, index):
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "table": [[0, 0], [0, 1]], "generators": {"x": index}}))
+    for command in (["classify"], ["orderable"]):
+        code, out, err = run(capsys, [*command, str(path)])
+        assert (code, out, err) == (2, "", f"error: generator 'x' -> {index} out of range\n")
+
+
 def test_syntactic_monoid_writes_its_identity(tmp_path, capsys):
     # a swaps p and q and b fixes both, so b is the identity
     d = order.dfa(["p", "q"], ["a", "b"],
