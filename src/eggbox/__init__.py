@@ -5,101 +5,9 @@ synthesis and K_p constructions, translational hulls and kernel
 representations, omega-term identity checking, word combinatorics with the
 de Bruijn encoding, the recursive completely-regular word problem, and
 stable partial orders with a DFA-to-syntactic-semigroup pipeline.
-"""
 
-from .core import (
-    FiniteSemigroup,
-    validate,
-    omega_power,
-    omega_minus_one,
-    generated_subsemigroup,
-    subsemigroup,
-    adjoin_identity,
-    adjoin_new_identity,
-    direct_product,
-    evaluate_word,
-    is_isomorphic,
-)
-from .green import (
-    GreenStructure,
-    ReesMatrixSemigroup,
-    green_structure,
-    kernel,
-    is_completely_simple,
-    rees_coordinatize,
-    maximal_subgroup,
-    is_equidivisible,
-    letter_cancelative,
-)
-from .constructions import (
-    rees_matrix,
-    realize,
-    k_p,
-    kp_rees,
-    synthesis,
-    SynthesisSemigroup,
-    bullet_gadget,
-    semidirect_product,
-)
-from .hull import (
-    Bitranslation,
-    inner_bitranslation,
-    enumerate_hull,
-    enumerate_hull_rees,
-    kernel_representation,
-    classify,
-    reductivity,
-    torsion_checks,
-)
-from .words import (
-    Word,
-    Factorization,
-    content,
-    i_n,
-    t_n,
-    debruijn_encode,
-    valid_debruijn_encoding,
-    left_basic_factorization,
-    right_basic_factorization,
-    zero_funcs,
-    one_funcs,
-    greedy_subword,
-    characteristic_sequence,
-    stretch_word,
-    connect_word,
-    is_subword,
-)
-from .terms import (
-    Letter,
-    Concat,
-    Power,
-    OmegaExp,
-    GroupSpec,
-    parse_term,
-    term_to_text,
-    evaluate,
-    satisfies_identity,
-    satisfies_inequality,
-    pseudovariety_names,
-    pseudovariety_basis,
-    pseudovariety_membership,
-    term_i_t,
-    debruijn_encode_term,
-    check_vdn,
-    equal_in_crh,
-)
-from .order import (
-    OrderedSemigroup,
-    Dfa,
-    ordered,
-    trivial_order,
-    stable_closure,
-    is_orderable,
-    enumerate_stable_orders,
-    unorderability_report,
-    syntactic_semigroup,
-    concat_letter,
-    order_dual,
-)
+Use the library through its modules (`from eggbox import core, green`, or
+`from eggbox.core import validate`); the package itself re-exports nothing.
+"""
 
 __version__ = "0.1.0"

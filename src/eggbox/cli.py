@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 = success / property holds, 1 = property fails (witness on
-stdout), 2 = input or usage error. Identical inputs produce byte-identical
-output; '-' means stdin wherever a path is accepted.
+stdout), 2 = input or usage error, 3 = internal error (any other exception,
+reported as one stderr line `error: internal error: <Type>: <message>`).
+Identical inputs produce byte-identical output; '-' means stdin wherever a
+path is accepted.
 """
 
 from __future__ import annotations
@@ -444,6 +446,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

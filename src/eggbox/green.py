@@ -145,7 +145,11 @@ def _least_member_ids(keys) -> tuple[int, ...]:
 
 
 def kernel(S: FiniteSemigroup) -> frozenset[int]:
-    """The minimum ideal: elements of the least J-class."""
+    """The minimum ideal: elements of the least J-class, found once per S."""
+    return S._derive("kernel", _kernel)
+
+
+def _kernel(S: FiniteSemigroup) -> frozenset[int]:
     gs = green_structure(S)
     return frozenset(x for x in range(len(S)) if gs.j_class[x] == gs.kernel_class)
 

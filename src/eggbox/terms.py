@@ -303,12 +303,12 @@ class _Program:
     def _product(self, a: int, b: int) -> int:
         table = self.S.table
         if self.rows[a] and self.rows[b]:
-            return self._step(lambda V, W: list(map(operator.getitem, map(table.__getitem__, V), W)), a, b, True)
+            return self._step(lambda V, W: [table[v][w] for v, w in zip(V, W)], a, b, True)
         if self.rows[b]:
-            return self._step(lambda p, W: list(map(table[p].__getitem__, W)), a, b, True)
+            return self._step(lambda p, W: [table[p][w] for w in W], a, b, True)
         if self.rows[a]:
             columns = self.S.columns
-            return self._step(lambda V, q: list(map(columns[q].__getitem__, V)), a, b, True)
+            return self._step(lambda V, q: [columns[q][v] for v in V], a, b, True)
         return self._step(lambda p, q: table[p][q], a, b, False)
 
     def add(self, term: Term) -> int:
@@ -321,7 +321,7 @@ class _Program:
             else:
                 base, powers = self.add(term.base), _power_table(self.S, term.exp)
                 row = self.rows[base]
-                f = (lambda V, _: list(map(powers.__getitem__, V))) if row else (lambda p, _: powers[p])
+                f = (lambda V, _: [powers[v] for v in V]) if row else (lambda p, _: powers[p])
                 self.registers[term] = self._step(f, base, base, row)
         return self.registers[term]
 
@@ -508,17 +508,23 @@ def pseudovariety_membership(S: FiniteSemigroup, name: str):
 
 def unfold(term: Term, omega_reps: int) -> Word:
     """Finite unfolding with every w+k exponent replaced by omega_reps+k."""
+    out: list[str] = []
+    _unfold_into(term, omega_reps, out)
+    return Word(tuple(out))
+
+
+def _unfold_into(term: Term, omega_reps: int, out: list[str]) -> None:
+    """Append the letters of unfold(term, omega_reps) to out, in linear time."""
     if isinstance(term, Letter):
-        return Word((term.ch,))
-    if isinstance(term, Concat):
-        out: tuple[str, ...] = ()
+        out.append(term.ch)
+    elif isinstance(term, Concat):
         for p in term.parts:
-            out += unfold(p, omega_reps).letters
-        return Word(out)
-    base = unfold(term.base, omega_reps).letters
-    e = term.exp
-    reps = e if isinstance(e, int) else omega_reps + e.k
-    return Word(base * reps)
+            _unfold_into(p, omega_reps, out)
+    else:
+        start = len(out)
+        _unfold_into(term.base, omega_reps, out)
+        e = term.exp
+        out[start:] = out[start:] * (e if isinstance(e, int) else omega_reps + e.k)
 
 
 def _unfolded_length(term: Term, omega_reps: int) -> int:

@@ -590,3 +590,23 @@ def test_hull_rees_path(tmp_path, capsys):
     code, out, _ = run(capsys, ["hull", str(path), "--rees"])
     assert code == 0
     assert out.splitlines()[0].startswith("|Omega(S)|=")
+
+
+@pytest.mark.parametrize("error", [TypeError, AttributeError, ZeroDivisionError])
+@pytest.mark.parametrize("command", ["analyze", "words"])
+def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, command, error):
+    from eggbox import green, words
+
+    def broken(*args):
+        raise error("oops")
+
+    if command == "analyze":
+        monkeypatch.setattr(green, "green_structure", broken)
+        argv = ["analyze", write_semigroup(tmp_path, "u1.json", core.u1())]
+    else:
+        monkeypatch.setattr(words, "content", broken)
+        argv = ["words", "content", "ab"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: internal error: {error.__name__}: oops\n"

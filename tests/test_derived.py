@@ -248,10 +248,11 @@ def test_deriving_keeps_the_instance_layout():
     core.omega_power(S, 0)
     green.green_structure(S)
     hull.kernel_representation(S)
-    # the Cayley graphs' generators, and the columns the right graph follows
-    assert set(S._derived) == {"omega", "green", "gens", "columns"}
+    # the Cayley graphs' generators, the columns the right graph follows, and
+    # the kernel read off the Green structure
+    assert set(S._derived) == {"omega", "green", "gens", "columns", "kernel"}
     core.small_generating_set(S)
-    assert set(S._derived) == {"omega", "green", "gens", "columns"}
+    assert set(S._derived) == {"omega", "green", "gens", "columns", "kernel"}
     assert list(vars(S)) == keys
 
 
@@ -268,6 +269,22 @@ def test_derived_data_is_computed_once(monkeypatch):
     T = core.full_transformation_monoid(2)
     green.green_structure(T)
     assert len(calls) == 2
+
+
+def test_analyze_finds_the_kernel_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = green._kernel
+    monkeypatch.setattr(green, "_kernel", lambda S: calls.append(len(S)) or real(S))
+    S = core.full_transformation_monoid(3)
+    assert green.kernel(S) is green.kernel(S)
+    assert calls == [27]
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps(core.to_dict(S)))
+    calls.clear()
+    # analyze asks twice: for the report's kernel size and in hull.classify
+    assert cli.main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == [27]
 
 
 def test_analyze_builds_green_structure_once(tmp_path, capsys, monkeypatch):

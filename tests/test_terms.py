@@ -276,6 +276,32 @@ def test_term_i_t():
         del base
 
 
+def old_unfold(term, omega_reps):
+    """The tuple-concatenating unfolding, kept verbatim as an oracle."""
+    if isinstance(term, Letter):
+        return words.Word((term.ch,))
+    if isinstance(term, Concat):
+        out: tuple[str, ...] = ()
+        for p in term.parts:
+            out += old_unfold(p, omega_reps).letters
+        return words.Word(out)
+    base = old_unfold(term.base, omega_reps).letters
+    e = term.exp
+    reps = e if isinstance(e, int) else omega_reps + e.k
+    return words.Word(base * reps)
+
+
+def test_unfold_matches_the_tuple_concatenating_unfolding():
+    rng = random.Random(2020)
+    cases = [random_term(rng, depth=rng.randint(0, 5)) for _ in range(400)]
+    # multi-character letters, as in de Bruijn encodings
+    texts = ["(ab)^w c (ba)^(w+1)", "a(b(cb)^(w-1))^3 c", "((ab)^2 c)^w ((ba)^w a)^(w+2)"]
+    cases += [terms.debruijn_encode_term(text, n) for text in texts for n in (1, 2)]
+    for t in cases:
+        for reps in range(5):  # w-1 with reps = 0 repeats its base -1 times: empty
+            assert terms.unfold(t, reps) == old_unfold(t, reps), (term_to_text(t), reps)
+
+
 def test_debruijn_encode_term_exact_shape():
     enc = terms.debruijn_encode_term("(ab)^w", 1)
     expected = Concat(
