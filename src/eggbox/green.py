@@ -11,8 +11,10 @@ from typing import Mapping
 
 from .core import (
     FiniteSemigroup,
+    GeneratorsDoNotGenerateError,
     SemigroupError,
     adjoin_identity,
+    generated_subsemigroup,
     generating_set,
     omega_minus_one,
     record,
@@ -87,8 +89,6 @@ def _green_structure(S: FiniteSemigroup) -> GreenStructure:
     reach: list[set[int]] = []
     for c, out in enumerate(below):
         reach.append({c}.union(*(reach[d] for d in out if d != c)))
-    if sum(len(down) == 1 for down in reach) != 1:
-        raise SemigroupError("finite semigroup must have a unique minimum ideal")
     j_of = dict(zip(comp, j))
     order = frozenset((j_of[a], j_of[b]) for b, down in enumerate(reach) for a in down)
     regular = [False] * len(reach)
@@ -205,14 +205,11 @@ def rees_coordinatize(S: FiniteSemigroup) -> tuple[ReesMatrixSemigroup, tuple[tu
         q_reps.append(table[omega_minus_one(S, table[q][e])][q])
 
     sandwich = tuple(tuple(g_of[table[q][r]] for r in r_reps) for q in q_reps)
-    # s = r_a g q_b gives e s e = g, since e r_a = e = q_b e and g lies in H_e
+    # s = r_a g q_b (Rees's theorem) gives e s e = g, since e r_a = e = q_b e and g lies in H_e
     coords = []
     for s in range(len(S)):
         a, b = a_of[gs.r_class[s]], b_of[gs.l_class[s]]
-        g = table[table[e][s]][e]
-        if table[table[r_reps[a]][g]][q_reps[b]] != s:
-            raise SemigroupError("Rees coordinates must cover every element")
-        coords.append((a, g_of[g], b))
+        coords.append((a, g_of[table[table[e][s]][e]], b))
     rm = ReesMatrixSemigroup(len(a_of), len(b_of), G, sandwich)
     return rm, tuple(coords)
 
@@ -252,22 +249,17 @@ def letter_cancelative(S: FiniteSemigroup, gen_map: Mapping[str, int]) -> dict:
     Right: for every generator image a, sa = ta implies s = t; left is dual.
     Witnesses are (letter, s, t) triples. The images must generate S.
     """
-    from .core import GeneratorsDoNotGenerateError, generated_subsemigroup
-
     if generated_subsemigroup(S, gen_map.values()) != frozenset(range(len(S))):
         raise GeneratorsDoNotGenerateError("letter images must generate the semigroup")
     out = {"right": True, "left": True, "right_witness": None, "left_witness": None}
-    n = len(S)
     for letter, a in gen_map.items():
-        column, row = S.columns[a], S.table[a]  # s -> sa, s -> as
-        for s in range(n):
-            for t in range(s + 1, n):
-                if out["right"] and column[s] == column[t]:
-                    out["right"] = False
-                    out["right_witness"] = (letter, s, t)
-                if out["left"] and row[s] == row[t]:
-                    out["left"] = False
-                    out["left_witness"] = (letter, s, t)
+        for side, images in (("right", S.columns[a]), ("left", S.table[a])):  # s -> sa, s -> as
+            if out[side]:
+                first: dict[int, int] = {}  # each image's first index
+                pairs = ((first.setdefault(x, t), t) for t, x in enumerate(images))
+                least = min(((s, t) for s, t in pairs if s != t), default=None)
+                if least:
+                    out[side], out[f"{side}_witness"] = False, (letter, *least)
     return out
 
 

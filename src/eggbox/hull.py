@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from operator import itemgetter
+from typing import Iterator
 
 from .core import (
     FiniteSemigroup,
@@ -90,10 +91,10 @@ def enumerate_hull(S, bound: int = 8) -> frozenset[Bitranslation]:
     )
 
 
-def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
-    """Bitranslations of a Rees matrix semigroup M(A, G, B; P), by solving
-    the linking equations (Petrich, "The translational hull of a completely
-    0-simple semigroup", 1968).
+def rees_hull_parameters(rm: ReesMatrixSemigroup) -> Iterator[tuple]:
+    """The (phi, mu, psi, nu) of every bitranslation of a Rees matrix
+    semigroup M(A, G, B; P), by solving the linking equations (Petrich, "The
+    translational hull of a completely 0-simple semigroup", 1968).
 
     Left translations are (a,g,b) -> (phi(a), mu(a)g, b) and right
     translations (a,g,b) -> (a, g nu(b), psi(b)); a pair is linked exactly
@@ -102,14 +103,13 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
     nu(b) = P(b, phi(0)) m P(psi(b), 0)^-1, then those at b = 0 force
     mu(a) = P(0, phi(a))^-1 nu(0) P(psi(0), a), and the rest are checked.
     A linked pair fixes phi, mu, psi and nu, hence (phi, psi, mu(0)), and
-    that triple forces the rest: each linked pair is found exactly once, in
+    that triple forces the rest: each linked pair is yielded exactly once, in
     A^A B^B |G| A B steps. The input is checked as rees_matrix checks it,
     without building the table.
     """
     A, B, G = rm.a_size, rm.b_size, rm.group
     P = rees_sandwich(A, G, B, rm.sandwich)
     mul, inv, ng = G.table, omega_tables(G)[1], len(G)  # x^(w-1) inverts x in a group
-    out = []  # (a, g, b) is element (a*ng + g)*B + b, as rees_matrix orders them
     for phi in itertools.product(range(A), repeat=A):
         for psi in itertools.product(range(B), repeat=B):
             for m in range(ng):
@@ -117,12 +117,19 @@ def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
                 mu = [mul[mul[inv[P[0][phi[a]]]][nu[0]]][P[psi[0]][a]] for a in range(A)]
                 if all(mul[nu[b]][P[psi[b]][a]] == mul[P[b][phi[a]]][mu[a]]
                        for a in range(A) for b in range(B)):
-                    lam = ((phi[a] * ng + h) * B + b
-                           for a in range(A) for h in mul[mu[a]] for b in range(B))
-                    rho = ((a * ng + mul[g][nu[b]]) * B + psi[b]
-                           for a in range(A) for g in range(ng) for b in range(B))
-                    out.append(Bitranslation(tuple(lam), tuple(rho)))
-    return frozenset(out)
+                    yield phi, mu, psi, nu
+
+
+def enumerate_hull_rees(rm: ReesMatrixSemigroup) -> frozenset[Bitranslation]:
+    """Bitranslations from rees_hull_parameters; (a, g, b) is element (a*ng + g)*B + b."""
+    A, B, mul, ng = rm.a_size, rm.b_size, rm.group.table, len(rm.group)
+    return frozenset(
+        Bitranslation(
+            tuple((phi[a] * ng + h) * B + b for a in range(A) for h in mul[mu[a]] for b in range(B)),
+            tuple((a * ng + mul[g][nu[b]]) * B + psi[b] for a in range(A) for g in range(ng) for b in range(B)),
+        )
+        for phi, mu, psi, nu in rees_hull_parameters(rm)
+    )
 
 
 def compose(x: Bitranslation, y: Bitranslation) -> Bitranslation:

@@ -188,10 +188,8 @@ class _Parser:
             ch = self.text[start : self.pos]
             self.pos += 1
             return Letter(ch), 0
-        if c.isalpha() and c.islower():
-            self.pos += 1
-            return Letter(c), 0
-        raise TermSyntaxError("expected a letter or parenthesis", self.pos)
+        self.pos += 1  # parse_concat calls here only at "(", "[" or a lowercase letter
+        return Letter(c), 0
 
     def parse_exponent(self) -> Union[int, OmegaExp]:
         c = self.peek()

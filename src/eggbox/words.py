@@ -314,9 +314,7 @@ def connect_word(w: WordLike, a: str, b: str) -> Word:
     else:
         big = w.letters + (a,) * len(w) + w.letters
         aw = (a,) + w.letters
-        i = str.find(*_coded(big, aw))
-        if i < 0:
-            raise RuntimeError("a*w must occur in w a^|w| w")
+        i = str.find(*_coded(big, aw))  # found, at 2|w|-1 at the latest
         t = Word(big[len(w) : i + len(aw)])
     wt = (w * t).letters
     if _occurrences(wt, (a,) + w.letters) != [len(wt) - len(w) - 1]:

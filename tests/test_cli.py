@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from eggbox import cli, core, order
+from eggbox import cli, core, order, terms
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -436,16 +436,71 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
         (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, 1], [0.7, 1]]"], "sandwich[1][0] must be an integer"),
         (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, true], [0, 1]]"], "sandwich[0][1] must be an integer"),
         (["construct", "rees", "--sandwich", "5"], "sandwich must be a list"),
+        (["construct", "rees", "--group", "z:0"], "cyclic group order must be >= 1"),
+        (["construct", "kp", "1"], "1 is not prime"),
+        (["words", "debruijn", "-1", "ab"], "n must be >= 0"),
+        (["words", "rbf", ""], "right basic factorization needs a nonempty word"),
+        (["words", "stretch", "", "aa"], "need a letter different from the tail of s"),
+        (["analyze"], "eggbox analyze: the following arguments are required: path"),
+        (["hull", "x.json", "--bound", "abc"], "eggbox hull: argument --bound: invalid int value: 'abc'"),
+        (["check", "id", "x.json", "-x", "x"], "eggbox: unrecognized arguments: -x x"),
     ],
     ids=[
         "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0",
-        "float-sandwich", "bool-sandwich", "scalar-sandwich",
+        "float-sandwich", "bool-sandwich", "scalar-sandwich", "z0-group", "kp-1",
+        "debruijn-negative", "rbf-empty", "stretch-empty", "argparse-missing-path",
+        "argparse-bad-int", "argparse-unrecognized",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+Z2_JSON = {"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        ({"dfa": ["p"]}, ["syntactic", "{dfa}"], "DFA JSON must be an object"),
+        ({"dfa": dict(DFA_OK, transitions={"pa": "q"})}, ["syntactic", "{dfa}"],
+         "bad transition key 'pa', expected 'state,letter'"),
+        ({"dfa": dict(DFA_OK, accepting=["r"])}, ["syntactic", "{dfa}"], "accepting state 'r' unknown"),
+        ({"s": dict(U1_JSON, generators=["a"])}, ["classify", "{s}"], "generators must be an object"),
+        ({"s": Z2_JSON}, ["check", "id", "{s}", "[ab", "x"], "unterminated composite letter (at position 1)"),
+        ({"s": Z2_JSON}, ["check", "id", "{s}", "x^(w+)", "x"], "expected an integer (at position 5)"),
+        ({"s": Z2_JSON}, ["check", "pv", "{s}", "Ab0"], "unsupported exponent in 'Ab0'"),
+        ({"s": Z2_JSON}, ["check", "pv", "{s}", "D0"], "unsupported degree in 'D0'"),
+        ({"s": Z2_JSON}, ["check", "pv", "{s}", "D23"], "unsupported degree in 'D23'"),
+        ({"s": Z2_JSON}, ["check", "vdn", "ab", "ab", "--n", "0", "--in", "{s}"], "n must be >= 1"),
+        ({"g": {"elements": ["a", "b"], "table": [[0, 0], [0, 0]]}}, ["construct", "rees", "--group", "{g}"],
+         "no identity element"),
+        ({"s": Z2_JSON, "act": {"a": ["a", "b"], "b": ["a", "a"]}},
+         ["construct", "semidirect", "{s}", "{s}", "{act}"], "action is not a monoid homomorphism at (1,1)"),
+    ],
+    ids=[
+        "dfa-list", "transition-key", "unknown-accepting", "generator-list", "open-composite-letter",
+        "omega-without-integer", "pv-exponent", "pv-degree-0", "pv-degree-23", "vdn-n0",
+        "rees-non-monoid", "semidirect-not-an-action",
+    ],
+)
+def test_file_input_errors_exit_2(tmp_path, capsys, files, argv, message):
+    paths = {}
+    for name, doc in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    code, out, err = run(capsys, [arg.format(**paths) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_analyze_pv_all_reports_every_registered_pseudovariety(tmp_path, capsys, z2):
+    code, out, _ = run(capsys, ["--format", "json", "analyze", write_semigroup(tmp_path, "z2.json", z2), "--pv", "all"])
+    memberships = json.loads(out)["pseudovarieties"]
+    assert code == 0 and list(memberships) == terms.pseudovariety_names()
+    assert memberships["G"] is True and memberships["Sl"] is False
 
 
 def test_words_commands(capsys):
@@ -610,3 +665,14 @@ def test_internal_error_exits_3_with_one_line(tmp_path, capsys, monkeypatch, com
     assert code == 3
     assert out == ""
     assert err == f"error: internal error: {error.__name__}: oops\n"
+
+
+def test_internal_key_error_exits_3(capsys, monkeypatch):
+    # input errors are ValueErrors, so a KeyError is the program's own fault
+    from eggbox import words
+
+    def broken(*args):
+        raise KeyError("oops")
+
+    monkeypatch.setattr(words, "content", broken)
+    assert run(capsys, ["words", "content", "ab"]) == (3, "", "error: internal error: KeyError: 'oops'\n")

@@ -155,6 +155,41 @@ def old_letter_cancelative(S, gen_map):
     return out
 
 
+def columns_letter_cancelative(S, gen_map):
+    """green.letter_cancelative as it was before the one-pass collision search,
+    verbatim: every pair s < t for every letter."""
+    from eggbox.core import GeneratorsDoNotGenerateError, generated_subsemigroup
+
+    if generated_subsemigroup(S, gen_map.values()) != frozenset(range(len(S))):
+        raise GeneratorsDoNotGenerateError("letter images must generate the semigroup")
+    out = {"right": True, "left": True, "right_witness": None, "left_witness": None}
+    n = len(S)
+    for letter, a in gen_map.items():
+        column, row = S.columns[a], S.table[a]  # s -> sa, s -> as
+        for s in range(n):
+            for t in range(s + 1, n):
+                if out["right"] and column[s] == column[t]:
+                    out["right"] = False
+                    out["right_witness"] = (letter, s, t)
+                if out["left"] and row[s] == row[t]:
+                    out["left"] = False
+                    out["left_witness"] = (letter, s, t)
+    return out
+
+
+def test_letter_cancelative_matches_the_all_pairs_scan():
+    rng = random.Random(41)
+    witnesses = set()
+    for S in [random_transformation_semigroup(rng, 60) for _ in range(300)] + list(small_library().values()):
+        letters = core.generating_set(S) + [rng.randrange(len(S)) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(letters)
+        gen_map = {f"g{i}": a for i, a in enumerate(letters)}
+        got = green.letter_cancelative(S, gen_map)
+        assert got == columns_letter_cancelative(S, gen_map), gen_map
+        witnesses.update(w is None for w in (got["right_witness"], got["left_witness"]))
+    assert witnesses == {True, False}
+
+
 def old_wl_classes(S):
     n = len(S)
     sig = []

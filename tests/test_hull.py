@@ -617,3 +617,16 @@ def test_classify_matches_the_numbered_kernel_actions():
     for S in cases:
         assert hull.classify(S) == numbered_classify(S)
     assert len({tuple(hull.classify(S).values()) for S in cases}) >= 3
+
+
+def test_hull_rees_parameters_count_the_bitranslations():
+    # `hull --rees` prints this count, so distinct parameters must give distinct bitranslations
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    cases = [cons.kp_rees(p) for p in primes]
+    rng = random.Random(29)
+    for _ in range(12):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        P = tuple(tuple(rng.randrange(6) for _ in range(a)) for _ in range(b))
+        cases.append(green.ReesMatrixSemigroup(a, b, s3_table(), P))
+    for rm in cases:
+        assert sum(1 for _ in hull.rees_hull_parameters(rm)) == len(hull.enumerate_hull_rees(rm)), rm
