@@ -162,6 +162,8 @@ def cmd_construct(args) -> int:
         S = constructions.k_p(p)
     elif args.what == "rees":
         group = _group_from_text(args.group)
+        if args.a < 1 or args.b < 1:
+            raise constructions.ShapeMismatchError(f"index sets must be nonempty, got a={args.a}, b={args.b}")
         ng = len(group)
         _check_constructed_size(args.a * ng * args.b, f"M({args.a}, G, {args.b}; P) with |G| = {ng}")
         if args.sandwich:
@@ -290,7 +292,7 @@ def cmd_hull(args) -> int:
         size = sum(1 for _ in hull.rees_hull_parameters(rm))
     else:
         S, _ = _load_semigroup(args.path)
-        size = len(hull.enumerate_hull(S, bound=args.bound))
+        size = sum(len(rhos) for _, rhos in hull.linked_translations(S, bound=args.bound))
     inner = len(set(zip(S.table, S.columns)))  # distinct inner bitranslations (row s, column s)
     red = hull.reductivity(S)
     obj = {"hull_size": size, "inner_image_size": inner, "reductivity": red}

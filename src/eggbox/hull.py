@@ -66,29 +66,31 @@ def right_translations(S: FiniteSemigroup) -> list[tuple[int, ...]]:
     return left_translations(opposite(S))
 
 
-def _linked(S: FiniteSemigroup, lam: tuple[int, ...], rho: tuple[int, ...]) -> bool:
-    """s lam(g) = (s)rho g for every s and every generator g. That suffices:
-    since lam is a left translation, the t with s lam(t) = (s)rho t for all s
-    are closed under products, s lam(tu) = s lam(t)u = (s)rho tu."""
-    columns = S.columns
-    return all(columns[lam[g]] == tuple(map(columns[g].__getitem__, rho)) for g in generating_set(S))
+def linked_translations(S: FiniteSemigroup, bound: int = 8) -> Iterator[tuple[tuple[int, ...], list]]:
+    """Each left translation lam, by brute force, with the right translations
+    rho linked to it: s lam(g) = (s)rho g for every s and generator g. That
+    suffices, since the t with s lam(t) = (s)rho t for all s are closed under
+    products, s lam(tu) = s lam(t)u = (s)rho tu. So the rho are grouped once by
+    their signature ((s)rho g)_{g,s}, and each lam looks up (s lam(g))_{g,s}."""
+    if len(S) > bound:
+        raise BoundExceededError(f"|S|={len(S)} exceeds brute-force bound {bound}")
+    columns, gens = S.columns, generating_set(S)
+    by_signature: dict[tuple, list] = {}
+    for rho in right_translations(S):
+        by_signature.setdefault(tuple(tuple(map(columns[g].__getitem__, rho)) for g in gens), []).append(rho)
+    for lam in left_translations(S):
+        yield lam, by_signature.get(tuple(columns[lam[g]] for g in gens), [])
 
 
 def enumerate_hull(S, bound: int = 8) -> frozenset[Bitranslation]:
-    """All bitranslations of S, by brute force over translation candidates.
+    """All bitranslations of S, from linked_translations.
 
     A ReesMatrixSemigroup argument is routed to the parametrized
     enumeration, which has no size bound.
     """
     if isinstance(S, ReesMatrixSemigroup):
         return enumerate_hull_rees(S)
-    if len(S) > bound:
-        raise BoundExceededError(f"|S|={len(S)} exceeds brute-force bound {bound}")
-    lams = left_translations(S)
-    rhos = right_translations(S)
-    return frozenset(
-        Bitranslation(lam, rho) for lam in lams for rho in rhos if _linked(S, lam, rho)
-    )
+    return frozenset(Bitranslation(lam, rho) for lam, rhos in linked_translations(S, bound) for rho in rhos)
 
 
 def rees_hull_parameters(rm: ReesMatrixSemigroup) -> Iterator[tuple]:

@@ -433,6 +433,8 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
         (["check", "id", "x.json"], "check id takes 3 arguments, got 1"),
         (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
         (["construct", "rees", "--b", "0"], "index sets must be nonempty"),
+        (["construct", "rees", "--a", "0", "--b", "1000000000"], "index sets must be nonempty, got a=0, b=1000000000"),
+        (["construct", "rees", "--a", "-1", "--b", "1000000000"], "index sets must be nonempty, got a=-1, b=1000000000"),
         (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, 1], [0.7, 1]]"], "sandwich[1][0] must be an integer"),
         (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, true], [0, 1]]"], "sandwich[0][1] must be an integer"),
         (["construct", "rees", "--sandwich", "5"], "sandwich must be a list"),
@@ -446,7 +448,8 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
         (["check", "id", "x.json", "-x", "x"], "eggbox: unrecognized arguments: -x x"),
     ],
     ids=[
-        "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0",
+        "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0", "rees-a0-huge-b",
+        "rees-negative-a-huge-b",
         "float-sandwich", "bool-sandwich", "scalar-sandwich", "z0-group", "kp-1",
         "debruijn-negative", "rbf-empty", "stretch-empty", "argparse-missing-path",
         "argparse-bad-int", "argparse-unrecognized",
@@ -529,6 +532,19 @@ def test_hull_command(tmp_path, capsys, rb22):
     code, out, _ = run(capsys, ["hull", path])
     assert code == 0
     assert out.splitlines()[0] == "|Omega(S)|=16"
+
+
+def test_hull_counts_the_null_semigroups_linked_pairs(tmp_path, capsys):
+    path = write_semigroup(tmp_path, "null5.json", core.null_semigroup(5))
+    code, out, _ = run(capsys, ["hull", path])
+    assert code == 0
+    assert out.splitlines() == [
+        "|Omega(S)|=390625",
+        "inner image size=1",
+        'reductivity={"right_reductive": false, "left_reductive": false, "weakly_reductive": false}',
+    ]
+    path = write_semigroup(tmp_path, "null6.json", core.null_semigroup(6))
+    assert run(capsys, ["hull", path, "--bound", "5"]) == (2, "", "error: |S|=6 exceeds brute-force bound 5\n")
 
 
 def test_classify_command(tmp_path, capsys, k2):

@@ -584,9 +584,10 @@ def test_translations_and_hull_match_the_all_pairs_check():
         rhos = hull.right_translations(S)
         assert lams == old_left_translations(S)
         assert rhos == old_left_translations(core.opposite(S))
-        for lam in lams:
-            for rho in rhos:
-                assert hull._linked(S, lam, rho) == old_linked(S, lam, rho)
+        buckets = dict(hull.linked_translations(S))
+        assert list(buckets) == lams
+        for lam in lams:  # every pair's link is decided by the all-pairs oracle
+            assert buckets[lam] == [rho for rho in rhos if old_linked(S, lam, rho)]
         old_hull = {hull.Bitranslation(l, r) for l in lams for r in rhos if old_linked(S, l, r)}
         assert hull.enumerate_hull(S) == old_hull
 
