@@ -134,8 +134,8 @@ def cmd_analyze(args) -> int:
 
 # --- construct -------------------------------------------------------------------
 
-# Largest semigroup `construct` builds from size arguments (kp P, rees
-# --a/--b/--group z:N), checked before any table is built.
+# Largest semigroup `construct` and `syntactic` build, checked before any table is built;
+# `construct adjoin` is exempt, as it adds one element to an input already loaded.
 MAX_CONSTRUCTED = 4096
 
 
@@ -175,13 +175,15 @@ def cmd_construct(args) -> int:
     elif args.what == "synthesis":
         s_part, _ = _load_semigroup(args.args[0])
         t_part, _ = _load_semigroup(args.args[1])
-        s1 = core.adjoin_identity(s_part)
-        t1 = core.adjoin_identity(t_part)
+        s1, t1 = core.adjoin_identity(s_part), core.adjoin_identity(t_part)
+        _check_constructed_size(len(s_part) + len(s1) ** 2 * len(t1),
+                                f"M(S, T, f) with |S^1| = {len(s1)}, |T^1| = {len(t1)}")
         fmap = _read_map(_load_json(args.args[2]), "f", s1.elements, t1.index_of)
         S = constructions.synthesis(s_part, t_part, fmap).carrier
     elif args.what == "semidirect":
         s_part, _ = _load_semigroup(args.args[0])
         t_part, _ = _load_semigroup(args.args[1])
+        _check_constructed_size(len(s_part) * len(t_part), f"S x| T with |S| = {len(s_part)}, |T| = {len(t_part)}")
         def image(value):
             if type(value) is not list:
                 raise core.SemigroupError(f"must be a list of labels, got {value!r}")
@@ -191,6 +193,7 @@ def cmd_construct(args) -> int:
     elif args.what == "product":
         a, _ = _load_semigroup(args.args[0])
         b, _ = _load_semigroup(args.args[1])
+        _check_constructed_size(len(a) * len(b), f"S x T with |S| = {len(a)}, |T| = {len(b)}")
         S = core.direct_product(a, b)
     else:  # adjoin
         a, _ = _load_semigroup(args.args[0])
@@ -323,7 +326,7 @@ def cmd_syntactic(args) -> int:
     d = order.dfa_from_dict(_load_json(args.path))
     if args.concat_letter:
         d = order.concat_letter(d, args.concat_letter)
-    os_, gens = order.syntactic_semigroup(d)
+    os_, gens = order.syntactic_semigroup(d, limit=MAX_CONSTRUCTED)
     obj = core.to_dict(os_.semigroup, order=os_.leq)
     obj["generators"] = gens
     print(json.dumps(obj))

@@ -14,10 +14,12 @@ from typing import Callable, Mapping, Sequence
 from .core import (
     FiniteSemigroup,
     SemigroupError,
+    _extend_on_generators,
     adjoin_identity,
     cyclic_group,
     direct_product,
     from_function,
+    generating_set,
     omega_power,
     record,
     subsemigroup,
@@ -252,7 +254,8 @@ def semidirect_product(
     `action` maps each T element index to the image tuple of its
     endomorphism of S (the adjoined identity of T^1, when T is not a monoid,
     acts as the identity map and need not be supplied). Multiplication is
-    (s1, t1)(s2, t2) = (s1 * (t1 . s2), t1 t2).
+    (s1, t1)(s2, t2) = (s1 * (t1 . s2), t1 t2). Both laws of the action are
+    checked on generators; a failure names the first failing pair, row-major.
     """
     ns, nt = len(S), len(T)
     endos = {}
@@ -263,26 +266,22 @@ def semidirect_product(
         if len(img) != ns or any(not 0 <= v < ns for v in img):
             raise NotEndomorphismError(f"action of {t} is not a self-map of S")
         endos[t] = img
-    for t, img in endos.items():
-        for x in range(ns):
-            for y in range(ns):
-                if img[S.table[x][y]] != S.table[img[x]][img[y]]:
-                    raise NotEndomorphismError(
-                        f"action of {t} is not an endomorphism at ({x},{y})"
-                    )
-    ident = tuple(range(ns))
-    if T.identity is not None and endos[T.identity] != ident:
+    s_tab, t_tab, s_gens = S.table, T.table, generating_set(S)
+    for t, img in endos.items():  # an endomorphism is fixed by its values on generators
+        on_gens = [img[g] for g in s_gens]
+        if _extend_on_generators(s_tab, s_gens, on_gens, s_tab, on_gens) != img:
+            x, y = next((x, y) for x in range(ns) for y in range(ns)
+                        if img[s_tab[x][y]] != s_tab[img[x]][img[y]])
+            raise NotEndomorphismError(f"action of {t} is not an endomorphism at ({x},{y})")
+    if T.identity is not None and endos[T.identity] != tuple(range(ns)):
         raise NotMonoidHomError("identity of T must act as the identity map")
-    for t1 in range(nt):
-        for t2 in range(nt):
-            composed = tuple(endos[t1][endos[t2][x]] for x in range(ns))
-            if endos[T.table[t1][t2]] != composed:
-                raise NotMonoidHomError(
-                    f"action is not a monoid homomorphism at ({t1},{t2})"
-                )
+    breaks = lambda t1, t2: endos[t_tab[t1][t2]] != tuple(map(endos[t1].__getitem__, endos[t2]))
+    # the u with endos[tu] = endos[t] o endos[u] for every t are closed under products
+    if any(breaks(t, g) for g in generating_set(T) for t in range(nt)):
+        t1, t2 = next((t1, t2) for t1 in range(nt) for t2 in range(nt) if breaks(t1, t2))
+        raise NotMonoidHomError(f"action is not a monoid homomorphism at ({t1},{t2})")
 
     pairs = [(s, t) for s in range(ns) for t in range(nt)]
-    s_tab, t_tab = S.table, T.table
     labels = [f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs]
     return from_function(
         pairs, lambda x, y: (s_tab[x[0]][endos[x[1]][y[0]]], t_tab[x[1]][y[1]]), labels

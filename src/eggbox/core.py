@@ -151,10 +151,10 @@ class FiniteSemigroup:
     def power(self, i: int, k: int) -> int:
         if k < 1:
             raise ValueError("power exponent must be >= 1")
-        acc = i
-        for _ in range(k - 1):
-            acc = self.table[acc][i]
-        return acc
+        if k == 1:
+            return i
+        half = self.power(self.table[i][i], k // 2)  # i^k = (i^2)^(k // 2) i^(k mod 2)
+        return self.table[half][i] if k & 1 else half
 
     def index_of(self, label: str) -> int:
         try:

@@ -221,25 +221,17 @@ def is_equidivisible(S: FiniteSemigroup):
     with s*t = u*v but no w in S^1 completing either s*w = u, w*v = t or
     u*w = s, v = w*t.
     """
-    S1 = adjoin_identity(S)
-    n = len(S)
+    tab, n = adjoin_identity(S).table, len(S)  # S^1's rows restricted to S are S's rows
+    by_product: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # uv -> every (u, v), row-major
+    for u in range(n):
+        for v in range(n):
+            by_product[tab[u][v]].append((u, v))
     for s in range(n):
         for t in range(n):
-            st = S.table[s][t]
-            for u in range(n):
-                for v in range(n):
-                    if S.table[u][v] != st:
-                        continue
-                    ok = False
-                    for w in range(len(S1)):
-                        if S1.table[s][w] == u and S1.table[w][v] == t:
-                            ok = True
-                            break
-                        if S1.table[u][w] == s and S1.table[w][t] == v:
-                            ok = True
-                            break
-                    if not ok:
-                        return False, (s, t, u, v)
+            for u, v in by_product[tab[s][t]]:
+                if not any((tab[s][w] == u and tab[w][v] == t) or (tab[u][w] == s and tab[w][t] == v)
+                           for w in range(len(tab))):
+                    return False, (s, t, u, v)
     return True, None
 
 

@@ -302,7 +302,7 @@ def _complete_and_trim(d: Dfa) -> Dfa:
     return Dfa(states, d.alphabet, trans, d.initial, d.accepting & set(states))
 
 
-def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
+def syntactic_semigroup(d: Dfa, limit: Optional[int] = None) -> tuple[OrderedSemigroup, dict[str, int]]:
     """The syntactic ordered semigroup of the language of a DFA.
 
     States of the trimmed DFA that include each other's languages merge into
@@ -311,7 +311,8 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
     context accepting v accepts u. Returns the ordered semigroup (labels are
     shortest witness words, a multi-character letter in brackets as in
     terms.term_to_text) and the map from letters to element indices, which
-    is the semigroup's `generators`.
+    is the semigroup's `generators`. Past `limit` elements, if one is given,
+    BoundExceededError is raised before any table is built.
     """
     t = _complete_and_trim(d)
     idx = {q: i for i, q in enumerate(t.states)}
@@ -351,6 +352,8 @@ def syntactic_semigroup(d: Dfa) -> tuple[OrderedSemigroup, dict[str, int]]:
             tf2 = tuple(letter_tf[a][q] for q in tf)
             if tf2 not in pos:
                 pos[tf2] = len(transforms)
+                if limit is not None and len(pos) > limit:
+                    raise BoundExceededError(f"the syntactic semigroup has more than {limit} elements")
                 transforms.append(tf2)
                 words.append(w + text[a])
                 queue.append((tf2, words[-1]))

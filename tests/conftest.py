@@ -166,3 +166,17 @@ def random_words(rng, count, max_len=40):
         if len(set(w)) >= 2:
             out.append(w)
     return out
+
+
+def full_transformation_dfa(n):
+    """DFA JSON on states 0..n-1 (n >= 2) accepting at 0, whose letters (the
+    cycle q -> q+1, the transposition of 0 and 1, and the map sending 1 to 0)
+    generate T_n, so its syntactic semigroup has n^n elements."""
+    maps = {"a": [(q + 1) % n for q in range(n)], "b": [1, 0, *range(2, n)], "c": [0, 0, *range(2, n)]}
+    return {
+        "states": [str(q) for q in range(n)],
+        "alphabet": list(maps),
+        "transitions": {f"{q},{a}": str(m[q]) for a, m in maps.items() for q in range(n)},
+        "initial": "0",
+        "accepting": ["0"],
+    }

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from eggbox import cli, core, order, terms
+from conftest import full_transformation_dfa
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -462,6 +463,7 @@ def test_usage_errors_exit_2(capsys, argv, message):
 
 
 Z2_JSON = {"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}
+T4_JSON = core.to_dict(core.full_transformation_monoid(4))
 
 
 @pytest.mark.parametrize(
@@ -482,11 +484,20 @@ Z2_JSON = {"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}
          "no identity element"),
         ({"s": Z2_JSON, "act": {"a": ["a", "b"], "b": ["a", "a"]}},
          ["construct", "semidirect", "{s}", "{s}", "{act}"], "action is not a monoid homomorphism at (1,1)"),
+        ({"t4": T4_JSON}, ["construct", "product", "{t4}", "{t4}"],
+         "S x T with |S| = 256, |T| = 256 would have 65536 elements, over the bound 4096"),
+        ({"t4": T4_JSON, "act": {}}, ["construct", "semidirect", "{t4}", "{t4}", "{act}"],
+         "S x| T with |S| = 256, |T| = 256 would have 65536 elements, over the bound 4096"),
+        ({"t4": T4_JSON, "z2": Z2_JSON, "f": {}}, ["construct", "synthesis", "{t4}", "{z2}", "{f}"],
+         "M(S, T, f) with |S^1| = 256, |T^1| = 2 would have 131328 elements, over the bound 4096"),
+        ({"dfa": full_transformation_dfa(6)}, ["syntactic", "{dfa}"],
+         "the syntactic semigroup has more than 4096 elements"),
     ],
     ids=[
         "dfa-list", "transition-key", "unknown-accepting", "generator-list", "open-composite-letter",
         "omega-without-integer", "pv-exponent", "pv-degree-0", "pv-degree-23", "vdn-n0",
-        "rees-non-monoid", "semidirect-not-an-action",
+        "rees-non-monoid", "semidirect-not-an-action", "product-t4-t4", "semidirect-t4-t4",
+        "synthesis-t4-z2", "syntactic-t6",
     ],
 )
 def test_file_input_errors_exit_2(tmp_path, capsys, files, argv, message):

@@ -133,6 +133,44 @@ def test_evaluate_word(u1, z2, k2):
         core.evaluate_word(u1, {"a": 0}, "ab")
 
 
+def test_input_checks_refuse_empty_and_nonpositive_input(u1):
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="power exponent must be >= 1"):
+            u1.power(0, k)
+    with pytest.raises(core.SemigroupError, match="subset must be nonempty"):
+        core.generated_subsemigroup(u1, [])
+    for word in ("", []):
+        with pytest.raises(core.SemigroupError, match="cannot evaluate the empty word"):
+            core.evaluate_word(u1, {"a": 0}, word)
+
+
+def power_cases():
+    rng = random.Random(2525)
+    out = list(small_library().values()) + [core.full_transformation_monoid(2), constructions.k_p(5)]
+    return out + [random_transformation_semigroup(rng, max_size=40, min_size=2) for _ in range(10)]
+
+
+def test_power_matches_the_k_fold_product():
+    for S in power_cases():
+        for x in range(len(S)):
+            acc = x
+            for k in range(1, 31):
+                assert S.power(x, k) == acc
+                acc = S.mul(acc, x)
+
+
+def test_power_with_exponent_10_to_the_18_reads_the_cycle():
+    """x^k = x^(index + (k - index) mod period) once k reaches the index."""
+    k = 10**18
+    for S in power_cases():
+        for x in range(len(S)):
+            index, period = core.cycle_index_period(S, x)
+            acc = x
+            for _ in range(index + (k - index) % period - 1):
+                acc = S.mul(acc, x)
+            assert S.power(x, k) == acc
+
+
 def test_evaluate_word_is_multiplicative(k2):
     rng = random.Random(7)
     gm = {"x": k2.index_of("(0,0,1)"), "y": k2.index_of("(1,0,0)")}

@@ -7,7 +7,7 @@ import pytest
 from eggbox import constructions, core, order, terms, words
 from eggbox.core import BoundExceededError
 from eggbox.order import OrderError
-from conftest import random_transformation_semigroup, small_library, s3_table
+from conftest import full_transformation_dfa, random_transformation_semigroup, small_library, s3_table
 
 
 def test_stable_closure_u1(u1):
@@ -153,6 +153,17 @@ def test_syntactic_all_nonempty():
 def test_syntactic_ends_a(rz2):
     os_, _ = order.syntactic_semigroup(dfa_ends_a())
     assert core.is_isomorphic(os_.semigroup, rz2) is not None
+
+
+def test_syntactic_semigroup_stops_past_its_limit():
+    d = order.dfa_from_dict(full_transformation_dfa(4))
+    full, gens = order.syntactic_semigroup(d)
+    assert len(full.semigroup) == 4**4 and len(gens) == 3
+    assert order.syntactic_semigroup(d, limit=256) == (full, gens)
+    with pytest.raises(BoundExceededError, match="^the syntactic semigroup has more than 255 elements$"):
+        order.syntactic_semigroup(d, limit=255)
+    with pytest.raises(BoundExceededError, match="more than 4096 elements"):  # T_6: 46656
+        order.syntactic_semigroup(order.dfa_from_dict(full_transformation_dfa(6)), limit=4096)
 
 
 def test_syntactic_is_dfa_independent():

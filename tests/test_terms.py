@@ -35,6 +35,14 @@ def test_parse_basic():
     assert parse_term("[ab][ba]") == Concat((Letter("ab"), Letter("ba")))
 
 
+def test_concat_flattens_and_refuses_zero_terms():
+    x, y = Letter("x"), Letter("y")
+    assert terms.concat([x]) == x
+    assert terms.concat([Concat((x, y)), x]) == Concat((x, y, x))
+    with pytest.raises(ValueError, match="cannot concatenate zero terms"):
+        terms.concat([])
+
+
 def test_parse_errors():
     with pytest.raises(TermSyntaxError):
         parse_term("x^0")

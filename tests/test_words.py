@@ -123,6 +123,8 @@ def test_greedy_subword():
     assert words.greedy_subword("aabb", "ba") is None
     positions, rem = words.greedy_subword("ab", "ab")
     assert positions == (1, 2) and str(rem) == ""
+    with pytest.raises(EmptyWordError, match="greedy_subword needs a nonempty pattern"):
+        words.greedy_subword("ab", "")
 
 
 def test_is_subword():
