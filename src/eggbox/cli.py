@@ -157,9 +157,8 @@ def _group_from_text(text: str) -> core.FiniteSemigroup:
 
 def cmd_construct(args) -> int:
     if args.what == "kp":
-        p = int(args.args[0])
-        _check_constructed_size(4 * p, f"K_{p}")
-        S = constructions.k_p(p)
+        _check_constructed_size(4 * args.p, f"K_{args.p}")
+        S = constructions.k_p(args.p)
     elif args.what == "rees":
         group = _group_from_text(args.group)
         if args.a < 1 or args.b < 1:
@@ -173,30 +172,30 @@ def cmd_construct(args) -> int:
             sandwich = [[e] * args.a for _ in range(args.b)]
         S = constructions.rees_matrix(args.a, group, args.b, sandwich)
     elif args.what == "synthesis":
-        s_part, _ = _load_semigroup(args.args[0])
-        t_part, _ = _load_semigroup(args.args[1])
+        s_part, _ = _load_semigroup(args.s)
+        t_part, _ = _load_semigroup(args.t)
         s1, t1 = core.adjoin_identity(s_part), core.adjoin_identity(t_part)
         _check_constructed_size(len(s_part) + len(s1) ** 2 * len(t1),
                                 f"M(S, T, f) with |S^1| = {len(s1)}, |T^1| = {len(t1)}")
-        fmap = _read_map(_load_json(args.args[2]), "f", s1.elements, t1.index_of)
+        fmap = _read_map(_load_json(args.f), "f", s1.elements, t1.index_of)
         S = constructions.synthesis(s_part, t_part, fmap).carrier
     elif args.what == "semidirect":
-        s_part, _ = _load_semigroup(args.args[0])
-        t_part, _ = _load_semigroup(args.args[1])
+        s_part, _ = _load_semigroup(args.s)
+        t_part, _ = _load_semigroup(args.t)
         _check_constructed_size(len(s_part) * len(t_part), f"S x| T with |S| = {len(s_part)}, |T| = {len(t_part)}")
         def image(value):
             if type(value) is not list:
                 raise core.SemigroupError(f"must be a list of labels, got {value!r}")
             return tuple(map(s_part.index_of, value))
-        images = _read_map(_load_json(args.args[2]), "action", t_part.elements, image)
+        images = _read_map(_load_json(args.action), "action", t_part.elements, image)
         S = constructions.semidirect_product(s_part, t_part, dict(enumerate(images)))
     elif args.what == "product":
-        a, _ = _load_semigroup(args.args[0])
-        b, _ = _load_semigroup(args.args[1])
+        a, _ = _load_semigroup(args.s)
+        b, _ = _load_semigroup(args.t)
         _check_constructed_size(len(a) * len(b), f"S x T with |S| = {len(a)}, |T| = {len(b)}")
         S = core.direct_product(a, b)
     else:  # adjoin
-        a, _ = _load_semigroup(args.args[0])
+        a, _ = _load_semigroup(args.s)
         S = core.adjoin_new_identity(a) if args.fresh else core.adjoin_identity(a)
     print(json.dumps(core.to_dict(S)))
     return 0
@@ -212,33 +211,31 @@ MAX_CRH_LETTERS = 128
 
 def cmd_check(args) -> int:
     if args.what in ("id", "ineq"):
-        S, ordered_s = _load_semigroup(args.args[0])
+        S, ordered_s = _load_semigroup(args.s)
         if args.what == "ineq" and ordered_s is None:
             raise ValueError("inequality check needs an 'order' field in the semigroup JSON")
-        lhs, rhs = terms.parse_term(args.args[1]), terms.parse_term(args.args[2])
+        lhs, rhs = terms.parse_term(args.lhs), terms.parse_term(args.rhs)
         if args.what == "id":
             ok, witness = terms.satisfies_identity(S, lhs, rhs)
         else:
             ok, witness = terms.satisfies_inequality(ordered_s, lhs, rhs)
         return _verdict(args, "holds", ok, witness=witness)
     if args.what == "pv":
-        S, _ = _load_semigroup(args.args[0])
-        ok, failing = terms.pseudovariety_membership(S, args.args[1])
+        S, _ = _load_semigroup(args.s)
+        ok, failing = terms.pseudovariety_membership(S, args.name)
         return _verdict(args, "member", ok, failing=failing)
     if args.what == "crh":
-        for word in args.args:
+        for word in (args.u, args.v):
             k = len(words.content(word))
             if k > MAX_CRH_LETTERS:
                 raise core.BoundExceededError(
                     f"check crh word has {k} distinct letters, over the bound {MAX_CRH_LETTERS}"
                 )
         h = terms.GroupSpec.from_text(args.h)
-        equal, cond = terms.equal_in_crh(args.args[0], args.args[1], h)
+        equal, cond = terms.equal_in_crh(args.u, args.v, h)
         return _verdict(args, "equal", equal, failed_condition=cond)
-    if args.in_path is None:
-        raise ValueError("check vdn needs --in with a semigroup JSON")
     T, _ = _load_semigroup(args.in_path)
-    res = terms.check_vdn(args.args[0], args.args[1], args.n, T)
+    res = terms.check_vdn(args.u, args.v, args.n, T)
     obj = {"i_t_equal": res.i_t_equal, "encoded_identity_holds": res.encoded_identity_holds}
     if res.i_t_equal and res.encoded_identity_holds:
         _emit(args, obj, [f"i_t_equal={res.i_t_equal}", f"encoded_identity_holds={res.encoded_identity_holds}"])
@@ -251,36 +248,35 @@ def cmd_check(args) -> int:
 
 def cmd_words(args) -> int:
     sub = args.what
-    a = args.args
     if sub == "content":
-        out = sorted(words.content(a[0]))
+        out = sorted(words.content(args.w))
         _emit(args, {"content": out}, [",".join(out)])
     elif sub in ("lbf", "rbf"):
-        f = (words.left_basic_factorization if sub == "lbf" else words.right_basic_factorization)(a[0])
+        f = (words.left_basic_factorization if sub == "lbf" else words.right_basic_factorization)(args.w)
         obj = {"prefix": str(f.prefix), "marker": f.marker, "remainder": str(f.remainder)}
         _emit(args, obj, [f"{f.prefix}|{f.marker}|{f.remainder}"])
     elif sub == "zero":
-        prefix, marker = words.zero_funcs(a[0])
+        prefix, marker = words.zero_funcs(args.w)
         _emit(args, {"zero": str(prefix), "marker": marker}, [f"{prefix}|{marker}"])
     elif sub == "one":
-        suffix, marker = words.one_funcs(a[0])
+        suffix, marker = words.one_funcs(args.w)
         _emit(args, {"one": str(suffix), "marker": marker}, [f"{suffix}|{marker}"])
     elif sub == "chi":
-        seq = words.characteristic_sequence(a[0])
+        seq = words.characteristic_sequence(args.w)
         obj = [{"factor": str(w), "start": s, "end": e} for w, s, e in seq]
         _emit(args, obj, [" ".join(f"{w}[{s},{e}]" for w, s, e in seq)])
     elif sub == "debruijn":
-        enc = words.debruijn_encode(a[1], int(a[0]))
+        enc = words.debruijn_encode(args.w, args.n)
         _emit(args, {"encoded": ".".join(enc.letters)}, [".".join(enc.letters)])
     elif sub == "stretch":
         avoid = args.avoid.split(",") if args.avoid else []
-        r = words.stretch_word(a[0], avoid, a[1])
+        r = words.stretch_word(args.x, avoid, args.s)
         _emit(args, {"r": str(r)}, [str(r)])
     elif sub == "connect":
-        t = words.connect_word(a[0], a[1], a[2])
+        t = words.connect_word(args.w, args.a, args.b)
         _emit(args, {"t": str(t)}, [str(t)])
     else:  # subword
-        ok = words.is_subword(a[0], a[1])
+        ok = words.is_subword(args.u, args.w)
         _emit(args, {"subword": ok}, [str(ok).lower()])
         return 0 if ok else 1
     return 0
@@ -352,21 +348,25 @@ def cmd_orders(args) -> int:
 
 # --- wiring ----------------------------------------------------------------------
 
-# Positional arguments each subcommand of construct, check and words takes.
-_ARITY = {
-    "construct": {"kp": 1, "rees": 0, "synthesis": 3, "semidirect": 3, "product": 2, "adjoin": 1},
-    "check": {"id": 3, "ineq": 3, "pv": 2, "crh": 2, "vdn": 2},
-    "words": {
-        "content": 1, "lbf": 1, "rbf": 1, "zero": 1, "one": 1, "chi": 1,
-        "debruijn": 2, "stretch": 2, "connect": 3, "subword": 2,
-    },
-}
-
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are ValueErrors: one line and exit 2 in main."""
 
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
+
+
+def _leaves(sub, command: str, summary: str, func, allow_abbrev=True, **leaves: str) -> dict:
+    """Add `command` with one subparser per leaf, taking the positionals named in leaves[leaf]
+    (p and n read as integers); return the leaf parsers by name."""
+    p = sub.add_parser(command, help=summary)
+    p.set_defaults(func=func)
+    what = p.add_subparsers(dest="what", required=True)
+    parsers = {}
+    for leaf, names in leaves.items():
+        parsers[leaf] = what.add_parser(leaf, allow_abbrev=allow_abbrev)
+        for name in names.split():
+            parsers[leaf].add_argument(name, type=int if name in ("p", "n") else None)
+    return parsers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,29 +380,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pv", help="comma-separated registry names, or 'all'")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("construct", help="emit semigroup JSON for a construction")
-    p.add_argument("what", choices=tuple(_ARITY["construct"]))
-    p.add_argument("args", nargs="*")
+    construct = _leaves(sub, "construct", "emit semigroup JSON for a construction", cmd_construct,
+                        kp="p", rees="", synthesis="s t f", semidirect="s t action", product="s t", adjoin="s")
+    p = construct["rees"]
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--b", type=int, default=2)
     p.add_argument("--group", default="trivial", help="trivial | z:<n> | path")
     p.add_argument("--sandwich", help="JSON matrix of group element indices")
-    p.add_argument("--fresh", action="store_true", help="adjoin: always add a new identity")
-    p.set_defaults(func=cmd_construct)
+    construct["adjoin"].add_argument("--fresh", action="store_true", help="always add a new identity")
 
-    p = sub.add_parser("check", help="identity / inequality / membership / word problems")
-    p.add_argument("what", choices=tuple(_ARITY["check"]))
-    p.add_argument("args", nargs="*")
-    p.add_argument("--h", default="trivial", help="crh: trivial | ab:<n> | groups")
-    p.add_argument("--n", type=int, default=1, help="vdn: the D_n depth")
-    p.add_argument("--in", dest="in_path", help="vdn: semigroup JSON to instantiate V")
-    p.set_defaults(func=cmd_check)
+    # No abbreviations here: crh's --h is a prefix of --help, and on another check leaf it
+    # must be an unrecognized argument, not a request for help.
+    check = _leaves(sub, "check", "identity / inequality / membership / word problems", cmd_check,
+                    allow_abbrev=False, id="s lhs rhs", ineq="s lhs rhs", pv="s name", crh="u v", vdn="u v")
+    check["crh"].add_argument("--h", default="trivial", help="trivial | ab:<n> | groups")
+    check["vdn"].add_argument("--n", type=int, default=1, help="the D_n depth")
+    check["vdn"].add_argument("--in", dest="in_path", required=True, help="semigroup JSON to instantiate V")
 
-    p = sub.add_parser("words", help="word combinatorics")
-    p.add_argument("what", choices=tuple(_ARITY["words"]))
-    p.add_argument("args", nargs="*")
-    p.add_argument("--avoid", help="stretch: comma-separated words to avoid")
-    p.set_defaults(func=cmd_words)
+    p = _leaves(sub, "words", "word combinatorics", cmd_words,
+                content="w", lbf="w", rbf="w", zero="w", one="w", chi="w",
+                debruijn="n w", stretch="x s", connect="w a b", subword="u w")["stretch"]
+    p.add_argument("--avoid", help="comma-separated words to avoid")
 
     p = sub.add_parser("hull", help="translational hull summary")
     p.add_argument("path")
@@ -436,11 +434,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.command in _ARITY:
-            want, got = _ARITY[args.command][args.what], len(args.args)
-            if got != want:
-                noun = "argument" if want == 1 else "arguments"
-                raise ValueError(f"{args.command} {args.what} takes {want} {noun}, got {got}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -191,10 +192,11 @@ def test_check_vdn_bounds_the_encoding_work(tmp_path, capsys, z2):
     "argv, message",
     [
         (["construct", "kp", "1000003"], "K_1000003 would have 4000012 elements"),
+        (["construct", "kp", "99999999999999999999"], "K_99999999999999999999 would have 399999999999999999996 elements"),
         (["construct", "rees", "--group", "z:100000"], "Z100000 would have 100000 elements"),
         (["construct", "rees", "--a", "1000000", "--b", "1000000"], "M(1000000, G, 1000000; P) with |G| = 1"),
     ],
-    ids=["kp", "rees-group", "rees-shape"],
+    ids=["kp", "kp-huge", "rees-group", "rees-shape"],
 )
 def test_constructions_over_the_size_bound_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
@@ -427,11 +429,11 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["words", "connect", "ab", "c"], "words connect takes 3 arguments, got 2"),
-        (["words", "content"], "words content takes 1 argument, got 0"),
-        (["words", "subword", "a", "b", "c"], "words subword takes 2 arguments, got 3"),
-        (["construct", "kp"], "construct kp takes 1 argument, got 0"),
-        (["check", "id", "x.json"], "check id takes 3 arguments, got 1"),
+        (["words", "connect", "ab", "c"], "eggbox words connect: the following arguments are required: b"),
+        (["words", "content"], "eggbox words content: the following arguments are required: w"),
+        (["words", "subword", "a", "b", "c"], "eggbox: unrecognized arguments: c"),
+        (["construct", "kp"], "eggbox construct kp: the following arguments are required: p"),
+        (["check", "id", "x.json"], "eggbox check id: the following arguments are required: lhs, rhs"),
         (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
         (["construct", "rees", "--b", "0"], "index sets must be nonempty"),
         (["construct", "rees", "--a", "0", "--b", "1000000000"], "index sets must be nonempty, got a=0, b=1000000000"),
@@ -446,20 +448,73 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
         (["words", "stretch", "", "aa"], "need a letter different from the tail of s"),
         (["analyze"], "eggbox analyze: the following arguments are required: path"),
         (["hull", "x.json", "--bound", "abc"], "eggbox hull: argument --bound: invalid int value: 'abc'"),
-        (["check", "id", "x.json", "-x", "x"], "eggbox: unrecognized arguments: -x x"),
+        (["check", "id", "x.json", "-x", "x"], "eggbox check id: the following arguments are required: rhs"),
+        (["construct", "kp", "x"], "eggbox construct kp: argument p: invalid int value: 'x'"),
+        (["words", "debruijn", "x", "ab"], "eggbox words debruijn: argument n: invalid int value: 'x'"),
     ],
     ids=[
         "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0", "rees-a0-huge-b",
         "rees-negative-a-huge-b",
         "float-sandwich", "bool-sandwich", "scalar-sandwich", "z0-group", "kp-1",
         "debruijn-negative", "rbf-empty", "stretch-empty", "argparse-missing-path",
-        "argparse-bad-int", "argparse-unrecognized",
+        "argparse-bad-int", "argparse-unrecognized", "kp-not-int", "debruijn-not-int",
     ],
 )
 def test_usage_errors_exit_2(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def interleavings(positionals, options):
+    """Every argument list that keeps the positionals in order and puts the options (each a
+    list: the flag and its value) anywhere among them, in any order."""
+    n = len(positionals) + len(options)
+    for order_ in itertools.permutations(options):
+        for slots in itertools.combinations(range(n), len(options)):
+            opts, pos = iter(order_), iter(positionals)
+            yield [arg for i in range(n) for arg in (next(opts) if i in slots else [next(pos)])]
+
+
+@pytest.mark.parametrize(
+    "leaf, positionals, options",
+    [
+        (["construct", "rees"], [], [["--a", "2"], ["--b", "3"], ["--group", "z:2"],
+                                     ["--sandwich", "[[0, 0], [0, 1], [0, 1]]"]]),
+        (["construct", "adjoin"], ["{z2}"], [["--fresh"]]),
+        (["check", "crh"], ["aab", "ab"], [["--h", "groups"]]),
+        (["check", "vdn"], ["(ab)^w", "(ab)^w ab"], [["--n", "1"], ["--in", "{z2}"]]),
+        (["words", "stretch"], ["b", "baa"], [["--avoid", "ab"]]),
+    ],
+    ids=["rees", "adjoin", "crh", "vdn", "stretch"],
+)
+def test_options_go_anywhere_after_their_leaf(tmp_path, capsys, z2, leaf, positionals, options):
+    z2_path = write_semigroup(tmp_path, "z2.json", z2)
+    positionals = [arg.format(z2=z2_path) for arg in positionals]
+    options = [[arg.format(z2=z2_path) for arg in option] for option in options]
+    code, out, _ = run(capsys, leaf + positionals + [arg for option in options for arg in option])
+    assert code in (0, 1) and out
+    for tail in interleavings(positionals, options):
+        assert run(capsys, leaf + tail)[:2] == (code, out), tail
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "kp", "3", "--fresh"],
+        ["check", "id", "{z2}", "x", "x", "--h", "groups"],
+        ["check", "vdn", "ab", "ab", "--in", "{z2}", "--h", "groups"],
+        ["check", "crh", "ab", "ab", "--n", "1"],
+        ["construct", "adjoin", "{z2}", "--a", "2"],
+        ["words", "content", "ab", "--avoid", "a"],
+    ],
+    ids=["kp-fresh", "id-h", "vdn-h", "crh-n", "adjoin-a", "content-avoid"],
+)
+def test_an_option_of_another_leaf_exits_2(tmp_path, capsys, z2, argv):
+    z2_path = write_semigroup(tmp_path, "z2.json", z2)
+    code, out, err = run(capsys, [arg.format(z2=z2_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: eggbox: unrecognized arguments: ") and err.count("\n") == 1
 
 
 Z2_JSON = {"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}

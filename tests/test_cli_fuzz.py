@@ -1,6 +1,8 @@
 """Seeded fuzzing of `cli.main` in-process: mutated semigroup, Rees and DFA
-JSON, terms and words. Every call must end in exit 0, 1 or 2; malformed input
-is an exit 2 with a one-line message, never an exception out of `main`."""
+JSON, terms and words, with options moved among the positionals and now and
+then a positional missing or repeated. Every call must end in exit 0, 1 or 2;
+malformed input is an exit 2 with a one-line message, never an exception out
+of `main`."""
 
 import json
 import random
@@ -76,6 +78,18 @@ def mutate_text(rng, text: str, alphabet: str, wrap: str) -> str:
     return wrap[0] * depth + text + wrap[1] * depth
 
 
+def leaf_argv(rng, leaf, positionals, options=()):
+    """`leaf` then the positionals, with each option (a list: the flag and its value) at a
+    random place among them; in one case of five a positional is dropped or repeated."""
+    items = [[arg] for arg in positionals]
+    if rng.random() < 0.2:
+        i = rng.randrange(len(items))
+        items[i:i + 1] = rng.choice([[], [items[i]] * 2])
+    for option in options:
+        items.insert(rng.randrange(len(items) + 1), option)
+    return leaf + [arg for item in items for arg in item]
+
+
 def cases(rng, tmp_path):
     """300 argument lists, each reading one mutated input."""
     for k in range(300):
@@ -101,29 +115,31 @@ def cases(rng, tmp_path):
             path.write_text(json.dumps(rng.choice(SEMIGROUPS)))
             sides = [mutate_text(rng, rng.choice(TERMS), "xyz()^w-+12 ", "()"), rng.choice(TERMS)]
             rng.shuffle(sides)
-            yield ["check", "id", str(path), *sides]
+            yield leaf_argv(rng, ["check", "id"], [str(path), *sides])
         elif kind == 8:
             u, v = (mutate_text(rng, rng.choice(WORDS), "abc[] ", "[]") for _ in range(2))
-            yield ["check", "crh", u, v, "--h", rng.choice(["trivial", "ab:2", "ab:0", "groups", "z:2"])]
+            h = rng.choice(["trivial", "ab:2", "ab:0", "groups", "z:2"])
+            yield leaf_argv(rng, ["check", "crh"], [u, v], [["--h", h]])
         else:
             w = mutate_text(rng, rng.choice(WORDS), "abc[] ", "[]")
-            yield rng.choice([
-                ["words", rng.choice(["content", "lbf", "rbf", "zero", "one", "chi"]), w],
-                ["words", "debruijn", rng.choice(["0", "1", "2", "-1", "x"]), w],
-                ["words", "stretch", w, rng.choice(WORDS) + "bb"],
-                ["words", "connect", w, rng.choice(["a", "b", "[ab]", ""]), rng.choice(["a", "c", ""])],
-                ["words", "subword", w, rng.choice(WORDS)],
-            ])
+            yield leaf_argv(rng, *rng.choice([
+                (["words", rng.choice(["content", "lbf", "rbf", "zero", "one", "chi"])], [w]),
+                (["words", "debruijn"], [rng.choice(["0", "1", "2", "-1", "x"]), w]),
+                (["words", "stretch"], [w, rng.choice(WORDS) + "bb"], [["--avoid", rng.choice(WORDS)]]),
+                (["words", "connect"], [w, rng.choice(["a", "b", "[ab]", ""]), rng.choice(["a", "c", ""])]),
+                (["words", "subword"], [w, rng.choice(WORDS)]),
+            ]))
 
 
 def test_cli_exits_0_1_or_2_on_mutated_input(tmp_path, capsys):
-    exits = []
-    for seed in (0, 3):  # seed 3 reaches an argparse usage error: a term read as an option
+    exits, usage_errors = [], 0
+    for seed in (0, 3):  # each seed reaches argparse usage errors: a positional missing or repeated
         for argv in cases(random.Random(seed), tmp_path):
             code = cli.main(argv)
             out, err = capsys.readouterr()
             assert code in (0, 1, 2), argv
             if code == 2:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                usage_errors += err.startswith("error: eggbox")
             exits.append(code)
-    assert len(exits) == 600 and {0, 1, 2} <= set(exits)
+    assert len(exits) == 600 and {0, 1, 2} <= set(exits) and usage_errors

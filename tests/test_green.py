@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -31,6 +32,31 @@ def test_green_structure_k2(k2):
     assert len(set(gs.l_class)) == 2
     sizes = {sum(1 for c in gs.h_class if c == cls) for cls in set(gs.h_class)}
     assert sizes == {2}
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of an n-set into k nonempty blocks: S(n,k) = k·S(n-1,k) + S(n-1,k-1)."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_full_transformation_monoid_green_counts_match_closed_forms(n):
+    # With f*g = f o g, R-classes are images (nonempty subsets), L-classes kernels (partitions)
+    # and J-classes ranks; an H-class is an image of size k and a kernel with k blocks.
+    S = core.full_transformation_monoid(n)
+    gs = green.green_structure(S)
+    counts = (len(set(gs.r_class)), len(set(gs.l_class)), len(set(gs.j_class)),
+              len(set(gs.h_class)), len(S.idempotents()))
+    ranks = range(1, n + 1)
+    assert counts == (
+        2 ** n - 1,
+        sum(stirling2(n, k) for k in ranks),  # Bell(n)
+        n,
+        sum(stirling2(n, k) * math.comb(n, k) for k in ranks),
+        sum(math.comb(n, k) * k ** (n - k) for k in ranks),
+    )
 
 
 def test_kernel_is_a_minimal_ideal():
