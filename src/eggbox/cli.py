@@ -354,6 +354,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(f"{self.prog}: {message}")
 
+    def parse_known_args(self, args=None, namespace=None):  # surplus arguments name their leaf
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _leaves(sub, command: str, summary: str, func, allow_abbrev=True, **leaves: str) -> dict:
     """Add `command` with one subparser per leaf, taking the positionals named in leaves[leaf]

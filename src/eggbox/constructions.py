@@ -8,17 +8,17 @@ products S x| T.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .core import (
     FiniteSemigroup,
     SemigroupError,
     _extend_on_generators,
+    _pair_product,
     adjoin_identity,
     cyclic_group,
     direct_product,
-    from_function,
     generating_set,
     omega_power,
     record,
@@ -72,15 +72,26 @@ def rees_sandwich(
     if a_size < 1 or b_size < 1:
         raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
     _require_group(group)
-    ng = len(group)
     P = tuple(tuple(int(v) for v in row) for row in sandwich)
     if len(P) != b_size or any(len(row) != a_size for row in P):
         raise ShapeMismatchError(f"sandwich must be {b_size}x{a_size}")
-    for row in P:
-        for v in row:
-            if not 0 <= v < ng:
-                raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
+    for v in chain.from_iterable(P):
+        if not 0 <= v < len(group):
+            raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
     return P
+
+
+def _rees_rows(offset: int, a_size: int, g_tab, b_size: int, P) -> list[tuple[int, ...]]:
+    """The rows of M(A, G, B; P) over any semigroup table g_tab, with (a, g, b) at
+    offset + (a |G| + g) |B| + b, and (a, g, b)(a', g', b') = (a, g P[b][a'] g', b')."""
+    ng = len(g_tab)
+    # cells[a][g] lists (a, g, b) over b, and block[a][u] lists (a, u g', b') over g', b'
+    cells = [[tuple(range(offset + (a * ng + g) * b_size, offset + (a * ng + g + 1) * b_size))
+              for g in range(ng)] for a in range(a_size)]
+    block = [[tuple(chain.from_iterable(map(cell.__getitem__, row))) for row in g_tab]
+             for cell in cells]
+    return [tuple(chain.from_iterable(map(block[a].__getitem__, map(g_tab[g].__getitem__, P[b]))))
+            for a in range(a_size) for g in range(ng) for b in range(b_size)]
 
 
 def rees_matrix(
@@ -96,13 +107,9 @@ def rees_matrix(
     associativity rescan is performed.
     """
     P = rees_sandwich(a_size, group, b_size, sandwich)
-    ng = len(group)
-    mul = group.table
-    triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
-    labels = [f"({a},{group.elements[g]},{b})" for (a, g, b) in triples]
-    return from_function(
-        triples, lambda x, y: (x[0], mul[mul[x[1]][P[x[2]][y[0]]]][y[1]], y[2]), labels
-    )
+    labels = tuple(f"({a},{g},{b})"
+                   for a in range(a_size) for g in group.elements for b in range(b_size))
+    return FiniteSemigroup(labels, tuple(_rees_rows(0, a_size, group.table, b_size, P)))
 
 
 def realize(rm: ReesMatrixSemigroup) -> FiniteSemigroup:
@@ -146,9 +153,7 @@ class SynthesisSemigroup:
         return s
 
     def triple_index(self, s1: int, t: int, s2: int) -> int:
-        n1 = len(self.s1)
-        nt = len(self.t1)
-        return len(self.s_part) + (s1 * nt + t) * n1 + s2
+        return len(self.s_part) + (s1 * len(self.t1) + t) * len(self.s1) + s2
 
 
 def synthesis(
@@ -172,7 +177,7 @@ def synthesis(
     """
     S1 = adjoin_identity(S)
     T1 = adjoin_identity(T)
-    n1, nt = len(S1), len(T1)
+    ns, n1, nt = len(S), len(S1), len(T1)
     if callable(f):
         fmap = [f(x) for x in range(n1)]
     elif isinstance(f, Mapping):
@@ -188,30 +193,20 @@ def synthesis(
         if not 0 <= v < nt:
             raise PartialFError(f"f value {v} is not a T^1 element")
 
-    ns = len(S)
     triples = [(s1, t, s2) for s1 in range(n1) for t in range(nt) for s2 in range(n1)]
-    labels = tuple(f"S:{S.elements[s]}" for s in range(ns)) + tuple(
-        f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
-    )
+    labels = tuple(f"S:{s}" for s in S.elements) + tuple(
+        f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples)
     if len(set(labels)) != len(labels):
         raise SemigroupError("duplicate element labels")
-    s1_tab, t1_tab = S1.table, T1.table  # S's rows are S^1's rows restricted to S
-    chain = itertools.chain.from_iterable
-    # (s1, t, s2) has index ns + (s1 nt + t) n1 + s2, so the triples with a
-    # given s1 are one range; block[s1][u] lists (s1, u t', s2') over t', s2'
-    spans = [tuple(range(ns + s1 * nt * n1, ns + (s1 + 1) * nt * n1)) for s1 in range(n1)]
-    block = [[tuple(chain(span[ut * n1:(ut + 1) * n1] for ut in t1_tab[u])) for u in range(nt)]
-             for span in spans]
-    rows = [
-        # s s' = ss', s (s1', t', s2') = (s s1', t', s2')
-        tuple(S.table[s]) + tuple(chain(map(spans.__getitem__, s1_tab[s])))
-        for s in range(ns)
-    ]
-    for s1, t, s2 in triples:
-        # (s1, t, s2) s' = (s1, t, s2 s'), then (s1, t f(s2 s1') t', s2')
-        base, times_t, to_s1 = ns + (s1 * nt + t) * n1, t1_tab[t], block[s1]
-        rows.append(tuple(base + x for x in s1_tab[s2][:ns])
-                    + tuple(chain(to_s1[times_t[fmap[x]]] for x in s1_tab[s2])))
+    s1_tab, m = S1.table, nt * n1  # S's rows are S^1's rows restricted to S
+    span = range(ns, ns + n1 * m)  # (s1, t, s2) is at ns + (s1 nt + t) n1 + s2
+    # s s' = ss', s (s1', t', s2') = (s s1', t', s2')
+    rows = [tuple(S.table[s]) + tuple(chain.from_iterable(span[x * m:][:m] for x in s1_tab[s]))
+            for s in range(ns)]
+    # (s1, t, s2) s' = (s1, t, s2 s'); the triples multiply as M(S^1, T^1, S^1; f(s2 s1'))
+    triple_rows = _rees_rows(ns, n1, T1.table, n1, [[fmap[x] for x in row] for row in s1_tab])
+    rows += [tuple(ns + (s1 * nt + t) * n1 + x for x in s1_tab[s2][:ns]) + row
+             for (s1, t, s2), row in zip(triples, triple_rows)]
     carrier = FiniteSemigroup(labels, tuple(rows))
     return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
 
@@ -227,17 +222,12 @@ def bullet_gadget(p: int) -> FiniteSemigroup:
         raise NotPrimeError(f"{p} is not prime")
     G = cyclic_group(p)
     if p != 2:
-        g = [1 if x == 2 else 0 for x in range(p)]
-        syn = synthesis(G, G, g)
-        front = [0, 1]
-        back = [0, 1]
+        syn = synthesis(G, G, [1 if x == 2 else 0 for x in range(p)])
+        front = back = [0, 1]
     else:
-        GG = direct_product(G, G)
-        # product elements in lex order: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
-        h = [1 if x == 3 else 0 for x in range(4)]
-        syn = synthesis(GG, G, h)
-        front = [0, 2]  # (0,0), (1,0)
-        back = [0, 1]   # (0,0), (0,1)
+        # (s, t) in G x G is 2s + t: h(1,1) = 1, front (0,0), (1,0) and back (0,0), (0,1)
+        syn = synthesis(direct_product(G, G), G, [1 if x == 3 else 0 for x in range(4)])
+        front, back = [0, 2], [0, 1]
     keep = [syn.s_index(0)] + [
         syn.triple_index(s1, t, s2) for s1 in front for t in range(p) for s2 in back
     ]
@@ -258,16 +248,16 @@ def semidirect_product(
     checked on generators; a failure names the first failing pair, row-major.
     """
     ns, nt = len(S), len(T)
-    endos = {}
+    endos = []
     for t in range(nt):
         if t not in action:
             raise NotMonoidHomError(f"action undefined on T element {t}")
         img = tuple(action[t])
         if len(img) != ns or any(not 0 <= v < ns for v in img):
             raise NotEndomorphismError(f"action of {t} is not a self-map of S")
-        endos[t] = img
+        endos.append(img)
     s_tab, t_tab, s_gens = S.table, T.table, generating_set(S)
-    for t, img in endos.items():  # an endomorphism is fixed by its values on generators
+    for t, img in enumerate(endos):  # an endomorphism is fixed by its values on generators
         on_gens = [img[g] for g in s_gens]
         if _extend_on_generators(s_tab, s_gens, on_gens, s_tab, on_gens) != img:
             x, y = next((x, y) for x in range(ns) for y in range(ns)
@@ -280,9 +270,4 @@ def semidirect_product(
     if any(breaks(t, g) for g in generating_set(T) for t in range(nt)):
         t1, t2 = next((t1, t2) for t1 in range(nt) for t2 in range(nt) if breaks(t1, t2))
         raise NotMonoidHomError(f"action is not a monoid homomorphism at ({t1},{t2})")
-
-    pairs = [(s, t) for s in range(ns) for t in range(nt)]
-    labels = [f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs]
-    return from_function(
-        pairs, lambda x, y: (s_tab[x[0]][endos[x[1]][y[0]]], t_tab[x[1]][y[1]]), labels
-    )
+    return _pair_product(S, T, endos)

@@ -419,11 +419,19 @@ def adjoin_new_identity(S: FiniteSemigroup) -> FiniteSemigroup:
     return FiniteSemigroup(S.elements + (label,), tab)
 
 
+def _pair_product(S: FiniteSemigroup, T: FiniteSemigroup, acts) -> FiniteSemigroup:
+    """S x T with (s, t) at s|T| + t, labelled (s,t), where (s1, t1)(s2, t2) =
+    (s1 (t1 . s2), t1 t2) and acts[t][s] = t . s; block[t1][s] lists (s, t1 t2) over t2."""
+    block = [[tuple(map((s * len(T)).__add__, row)) for s in range(len(S))] for row in T.table]
+    rows = (itertools.chain.from_iterable(map(block[t].__getitem__, map(s_row.__getitem__, act)))
+            for s_row in S.table for t, act in enumerate(acts))
+    labels = tuple(f"({s},{t})" for s in S.elements for t in T.elements)
+    return FiniteSemigroup(labels, tuple(map(tuple, rows)))
+
+
 def direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
-    pairs = [(i, j) for i in range(len(S)) for j in range(len(T))]
-    s_tab, t_tab = S.table, T.table
-    labels = [f"({S.elements[i]},{T.elements[j]})" for (i, j) in pairs]
-    return from_function(pairs, lambda p, q: (s_tab[p[0]][q[0]], t_tab[p[1]][q[1]]), labels)
+    """S x T with (s, t) at index s|T| + t, labelled (s,t): S x| T for the trivial action."""
+    return _pair_product(S, T, [range(len(S))] * len(T))
 
 
 def evaluate_word(S: FiniteSemigroup, gen_map: Mapping[str, int], word) -> int:

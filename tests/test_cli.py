@@ -431,7 +431,7 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
     [
         (["words", "connect", "ab", "c"], "eggbox words connect: the following arguments are required: b"),
         (["words", "content"], "eggbox words content: the following arguments are required: w"),
-        (["words", "subword", "a", "b", "c"], "eggbox: unrecognized arguments: c"),
+        (["words", "subword", "a", "b", "c"], "eggbox words subword: unrecognized arguments: c"),
         (["construct", "kp"], "eggbox construct kp: the following arguments are required: p"),
         (["check", "id", "x.json"], "eggbox check id: the following arguments are required: lhs, rhs"),
         (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
@@ -514,7 +514,8 @@ def test_an_option_of_another_leaf_exits_2(tmp_path, capsys, z2, argv):
     z2_path = write_semigroup(tmp_path, "z2.json", z2)
     code, out, err = run(capsys, [arg.format(z2=z2_path) for arg in argv])
     assert (code, out) == (2, "")
-    assert err.startswith("error: eggbox: unrecognized arguments: ") and err.count("\n") == 1
+    assert err.startswith(f"error: eggbox {argv[0]} {argv[1]}: unrecognized arguments: ")
+    assert err.count("\n") == 1
 
 
 Z2_JSON = {"elements": ["a", "b"], "table": [[0, 1], [1, 0]]}

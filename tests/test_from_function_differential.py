@@ -1,14 +1,18 @@
-"""The constructions that now build their tables through `core.from_function`,
-against verbatim copies of the code they replaced.
+"""Each construction against verbatim copies of the table code it replaced.
 
 `subsemigroup`, `direct_product`, `null_semigroup`, `synthesis`,
 `semidirect_product` and `hull_monoid` each used to carry their own
-value-to-index map and table loop; they must give the same semigroups (same
-labels, same tables, same identity) and the same errors, except that a set
-that is not closed now raises `NotClosedError` with a message naming the
-first pair that escapes. `synthesis` has since moved on: it joins each
-carrier row from precomputed index blocks, and its `from_function` version
-is kept here as the oracle for that.
+value-to-index map and table loop, and then built their tables through
+`core.from_function`; they must give the same semigroups (same labels, same
+tables, same identity) and the same errors, except that a set that is not
+closed now raises `NotClosedError` with a message naming the first pair that
+escapes. `subsemigroup`, `null_semigroup` and `hull_monoid` still use
+`from_function`. The products have since moved on to two index-block
+builders, each row joined from precomputed runs of consecutive indices:
+`core._pair_product` for `direct_product` and `semidirect_product`, and
+`constructions._rees_rows` for `rees_matrix` and the triples of `synthesis`.
+Their `from_function` versions (and the block-per-construction `synthesis`)
+are kept here as the oracles for that.
 """
 
 from __future__ import annotations
@@ -22,17 +26,22 @@ import pytest
 
 from eggbox import constructions, core, hull
 from eggbox.constructions import (
+    NotAGroupError,
     NotEndomorphismError,
     NotMonoidHomError,
     PartialFError,
+    ShapeMismatchError,
     SynthesisSemigroup,
+    _require_group,
 )
 from eggbox.core import (
     FiniteSemigroup,
     NotClosedError,
     SemigroupError,
+    _extend_on_generators,
     adjoin_identity,
     from_function,
+    generating_set,
 )
 from eggbox.hull import Bitranslation, compose
 from conftest import random_transformation_semigroup, small_library
@@ -265,6 +274,166 @@ def old_hull_monoid(hull) -> tuple[FiniteSemigroup, list[Bitranslation]]:
         tab.append(tuple(row))
     labels = tuple(f"b{i}" for i in range(len(items)))
     return FiniteSemigroup(labels, tuple(tab)), items
+
+
+def from_function_direct_product(S: FiniteSemigroup, T: FiniteSemigroup) -> FiniteSemigroup:
+    pairs = [(i, j) for i in range(len(S)) for j in range(len(T))]
+    s_tab, t_tab = S.table, T.table
+    labels = [f"({S.elements[i]},{T.elements[j]})" for (i, j) in pairs]
+    return from_function(pairs, lambda p, q: (s_tab[p[0]][q[0]], t_tab[p[1]][q[1]]), labels)
+
+
+def old_rees_sandwich(
+    a_size: int,
+    group: FiniteSemigroup,
+    b_size: int,
+    sandwich: Sequence[Sequence[int]],
+) -> tuple[tuple[int, ...], ...]:
+    """The sandwich of M(A, G, B; P) as int tuples, after checking that the
+    index sets are nonempty, G is a group and P is a B x A matrix over G."""
+    if a_size < 1 or b_size < 1:
+        raise ShapeMismatchError(f"index sets must be nonempty, got a={a_size}, b={b_size}")
+    _require_group(group)
+    ng = len(group)
+    P = tuple(tuple(int(v) for v in row) for row in sandwich)
+    if len(P) != b_size or any(len(row) != a_size for row in P):
+        raise ShapeMismatchError(f"sandwich must be {b_size}x{a_size}")
+    for row in P:
+        for v in row:
+            if not 0 <= v < ng:
+                raise ShapeMismatchError(f"sandwich entry {v} is not a group element")
+    return P
+
+
+def from_function_rees_matrix(
+    a_size: int,
+    group: FiniteSemigroup,
+    b_size: int,
+    sandwich: Sequence[Sequence[int]],
+) -> FiniteSemigroup:
+    """M(A, G, B; P) with (a,g,b)(a',g',b') = (a, g P(b,a') g', b').
+
+    Elements are ordered lexicographically by (a, g, b); labels show the
+    triples. The result is completely simple by construction, so no
+    associativity rescan is performed.
+    """
+    P = old_rees_sandwich(a_size, group, b_size, sandwich)
+    ng = len(group)
+    mul = group.table
+    triples = [(a, g, b) for a in range(a_size) for g in range(ng) for b in range(b_size)]
+    labels = [f"({a},{group.elements[g]},{b})" for (a, g, b) in triples]
+    return from_function(
+        triples, lambda x, y: (x[0], mul[mul[x[1]][P[x[2]][y[0]]]][y[1]], y[2]), labels
+    )
+
+
+def block_synthesis(
+    S: FiniteSemigroup,
+    T: FiniteSemigroup,
+    f: Mapping[int, int] | Sequence[int] | Callable[[int], int],
+) -> SynthesisSemigroup:
+    """Build M(S, T, f) for a total map f: S^1 -> T^1.
+
+    S^1 and T^1 use adjoin-only-if-needed semantics. The four multiplication
+    rules are:
+
+        s . s'                  = ss'
+        s . (s1, t, s2)         = (s s1, t, s2)
+        (s1, t, s2) . s         = (s1, t, s2 s)
+        (s1, t, s2) . (s1', t', s2') = (s1, t f(s2 s1') t', s2')
+
+    The carrier is associative for every f, since both bracketings of a
+    product of three triples give (s1, t f(s2 r1) u f(r2 q1) v, q2); so it
+    is not rescanned.
+    """
+    S1 = adjoin_identity(S)
+    T1 = adjoin_identity(T)
+    n1, nt = len(S1), len(T1)
+    if callable(f):
+        fmap = [f(x) for x in range(n1)]
+    elif isinstance(f, Mapping):
+        try:
+            fmap = [f[x] for x in range(n1)]
+        except KeyError as exc:
+            raise PartialFError(f"f undefined on S^1 element {exc.args[0]}") from None
+    else:
+        fmap = list(f)
+        if len(fmap) != n1:
+            raise PartialFError(f"f must cover all {n1} elements of S^1")
+    for v in fmap:
+        if not 0 <= v < nt:
+            raise PartialFError(f"f value {v} is not a T^1 element")
+
+    ns = len(S)
+    triples = [(s1, t, s2) for s1 in range(n1) for t in range(nt) for s2 in range(n1)]
+    labels = tuple(f"S:{S.elements[s]}" for s in range(ns)) + tuple(
+        f"({S1.elements[s1]},{T1.elements[t]},{S1.elements[s2]})" for (s1, t, s2) in triples
+    )
+    if len(set(labels)) != len(labels):
+        raise SemigroupError("duplicate element labels")
+    s1_tab, t1_tab = S1.table, T1.table  # S's rows are S^1's rows restricted to S
+    chain = itertools.chain.from_iterable
+    # (s1, t, s2) has index ns + (s1 nt + t) n1 + s2, so the triples with a
+    # given s1 are one range; block[s1][u] lists (s1, u t', s2') over t', s2'
+    spans = [tuple(range(ns + s1 * nt * n1, ns + (s1 + 1) * nt * n1)) for s1 in range(n1)]
+    block = [[tuple(chain(span[ut * n1:(ut + 1) * n1] for ut in t1_tab[u])) for u in range(nt)]
+             for span in spans]
+    rows = [
+        # s s' = ss', s (s1', t', s2') = (s s1', t', s2')
+        tuple(S.table[s]) + tuple(chain(map(spans.__getitem__, s1_tab[s])))
+        for s in range(ns)
+    ]
+    for s1, t, s2 in triples:
+        # (s1, t, s2) s' = (s1, t, s2 s'), then (s1, t f(s2 s1') t', s2')
+        base, times_t, to_s1 = ns + (s1 * nt + t) * n1, t1_tab[t], block[s1]
+        rows.append(tuple(base + x for x in s1_tab[s2][:ns])
+                    + tuple(chain(to_s1[times_t[fmap[x]]] for x in s1_tab[s2])))
+    carrier = FiniteSemigroup(labels, tuple(rows))
+    return SynthesisSemigroup(S, T, tuple(fmap), carrier, S1, T1)
+
+
+def from_function_semidirect_product(
+    S: FiniteSemigroup,
+    T: FiniteSemigroup,
+    action: Mapping[int, Sequence[int]],
+) -> FiniteSemigroup:
+    """S x| T for an action of T^1 on S by endomorphisms.
+
+    `action` maps each T element index to the image tuple of its
+    endomorphism of S (the adjoined identity of T^1, when T is not a monoid,
+    acts as the identity map and need not be supplied). Multiplication is
+    (s1, t1)(s2, t2) = (s1 * (t1 . s2), t1 t2). Both laws of the action are
+    checked on generators; a failure names the first failing pair, row-major.
+    """
+    ns, nt = len(S), len(T)
+    endos = {}
+    for t in range(nt):
+        if t not in action:
+            raise NotMonoidHomError(f"action undefined on T element {t}")
+        img = tuple(action[t])
+        if len(img) != ns or any(not 0 <= v < ns for v in img):
+            raise NotEndomorphismError(f"action of {t} is not a self-map of S")
+        endos[t] = img
+    s_tab, t_tab, s_gens = S.table, T.table, generating_set(S)
+    for t, img in endos.items():  # an endomorphism is fixed by its values on generators
+        on_gens = [img[g] for g in s_gens]
+        if _extend_on_generators(s_tab, s_gens, on_gens, s_tab, on_gens) != img:
+            x, y = next((x, y) for x in range(ns) for y in range(ns)
+                        if img[s_tab[x][y]] != s_tab[img[x]][img[y]])
+            raise NotEndomorphismError(f"action of {t} is not an endomorphism at ({x},{y})")
+    if T.identity is not None and endos[T.identity] != tuple(range(ns)):
+        raise NotMonoidHomError("identity of T must act as the identity map")
+    breaks = lambda t1, t2: endos[t_tab[t1][t2]] != tuple(map(endos[t1].__getitem__, endos[t2]))
+    # the u with endos[tu] = endos[t] o endos[u] for every t are closed under products
+    if any(breaks(t, g) for g in generating_set(T) for t in range(nt)):
+        t1, t2 = next((t1, t2) for t1 in range(nt) for t2 in range(nt) if breaks(t1, t2))
+        raise NotMonoidHomError(f"action is not a monoid homomorphism at ({t1},{t2})")
+
+    pairs = [(s, t) for s in range(ns) for t in range(nt)]
+    labels = [f"({S.elements[s]},{T.elements[t]})" for (s, t) in pairs]
+    return from_function(
+        pairs, lambda x, y: (s_tab[x[0]][endos[x[1]][y[0]]], t_tab[x[1]][y[1]]), labels
+    )
 
 
 # --- inputs ----------------------------------------------------------------------
@@ -545,3 +714,162 @@ def test_hull_monoid_refuses_the_same_sets():
                 assert new[1] == old[1]
                 accepted += 1
     assert refused > 20 and accepted > 5
+
+
+# --- the index-block builders: products and Rees matrices ------------------------------
+
+T3 = core.full_transformation_monoid(3)
+S3_IN_T3 = core.subsemigroup(T3, [x for x, m in enumerate(T3.elements) if len(set(m)) == 3])
+ONE_ELEMENT = [core.trivial(), core.cyclic_group(1), core.null_semigroup(1)]
+GROUPS = [core.trivial(), core.cyclic_group(1), core.cyclic_group(2), core.cyclic_group(3),
+          core.cyclic_group(5), S3_IN_T3]
+
+
+def test_the_unit_group_of_t3_is_non_abelian():
+    tab = S3_IN_T3.table
+    assert len(S3_IN_T3) == 6 and S3_IN_T3.identity is not None
+    assert any(tab[x][y] != tab[y][x] for x in range(6) for y in range(6))
+
+
+def test_direct_product_matches_the_from_function_version():
+    pool = list(LIBRARY.values()) + RANDOM[:12] + ONE_ELEMENT + [S3_IN_T3, T3]
+    pairs = [(S, T) for S, T in itertools.product(pool, repeat=2) if len(S) * len(T) <= 120]
+    pairs += [(T3, S3_IN_T3), (core.cyclic_group(16), core.cyclic_group(16))]
+    assert len(pairs) > 500
+    assert any(len(S) == 1 for S, _ in pairs) and any(len(T) == 1 for _, T in pairs)
+    for S, T in pairs:
+        same_semigroup(from_function_direct_product(S, T), core.direct_product(S, T))
+
+
+def sign(permutation: str) -> int:
+    return (-1) ** sum(a > b for a, b in itertools.combinations(permutation, 2))
+
+
+def sign_action() -> dict[int, tuple[int, ...]]:
+    """The unit group of T3 acting on Z3 by x -> sign(s) x."""
+    return {t: tuple(x * sign(label) % 3 for x in range(3))
+            for t, label in enumerate(S3_IN_T3.elements)}
+
+
+def conjugation_action() -> dict[int, tuple[int, ...]]:
+    """The unit group of T3 acting on T3 by f -> s f s^-1."""
+    action = {}
+    for t, label in enumerate(S3_IN_T3.elements):
+        s = tuple(map(int, label))
+        inverse = tuple(s.index(x) for x in range(3))
+        action[t] = tuple(
+            T3.index_of("".join(str(s[f[inverse[x]]]) for x in range(3)))
+            for f in (tuple(map(int, m)) for m in T3.elements)
+        )
+    return action
+
+
+def semidirect_cases():
+    pool = list(LIBRARY.values()) + RANDOM[:8] + ONE_ELEMENT
+    cases = [(S, T, trivial_action(S, T))
+             for S, T in itertools.product(pool, repeat=2) if len(S) * len(T) <= 60]
+    cases += [(core.cyclic_group(n), core.cyclic_group(m), multiplier_action(n, m, u))
+              for n, m, u in unit_actions()]
+    return cases + [(core.cyclic_group(3), S3_IN_T3, sign_action()),
+                    (T3, S3_IN_T3, conjugation_action())]
+
+
+def test_semidirect_product_matches_the_from_function_version():
+    cases = semidirect_cases()
+    assert len(cases) > 500
+    for S, T, action in cases:
+        same_semigroup(from_function_semidirect_product(S, T, action),
+                       constructions.semidirect_product(S, T, action))
+
+
+def test_semidirect_products_by_sign_and_conjugation_are_not_direct_products():
+    twisted = constructions.semidirect_product(core.cyclic_group(3), S3_IN_T3, sign_action())
+    assert twisted.table != core.direct_product(core.cyclic_group(3), S3_IN_T3).table
+    twisted = constructions.semidirect_product(T3, S3_IN_T3, conjugation_action())
+    assert len(twisted) == 162 and twisted.table != core.direct_product(T3, S3_IN_T3).table
+
+
+def test_semidirect_product_refuses_like_the_from_function_version():
+    z3, z2 = core.cyclic_group(3), core.cyclic_group(2)
+    odd = next(t for t, label in enumerate(S3_IN_T3.elements) if sign(label) < 0)
+    cases = [
+        (z3, z2, {0: (0, 1, 2)}),
+        (z3, z2, {0: (0, 1, 2), 1: (0, 1)}),
+        (z3, z2, {0: (0, 1, 2), 1: (0, 1, 3)}),
+        (z3, z2, {0: (0, 1, 2), 1: (0, 0, 1)}),
+        (z3, z2, {0: (0, 2, 1), 1: (0, 2, 1)}),
+        (z3, S3_IN_T3, {**sign_action(), odd: (0, 1, 2)}),
+    ]
+    for S, T, action in cases:
+        old = outcome(lambda: from_function_semidirect_product(S, T, action))
+        assert isinstance(old, tuple) and old[0] in (NotEndomorphismError, NotMonoidHomError)
+        assert outcome(lambda: constructions.semidirect_product(S, T, action)) == old
+
+
+def rees_cases():
+    """M(A, G, B; P) for A, B up to 3 over the GROUPS, two seeded sandwiches each."""
+    rng = random.Random(43)
+    return [
+        (a, G, b, [[rng.randrange(len(G)) for _ in range(a)] for _ in range(b)])
+        for G in GROUPS for a, b in itertools.product(range(1, 4), repeat=2) for _ in range(2)
+    ]
+
+
+def test_rees_matrix_matches_the_from_function_version():
+    cases = rees_cases()
+    assert len(cases) == 108
+    for a, G, b, P in cases:
+        same_semigroup(from_function_rees_matrix(a, G, b, P),
+                       constructions.rees_matrix(a, G, b, P))
+    for p in (2, 3, 5, 7, 11):
+        rm = constructions.kp_rees(p)
+        same_semigroup(from_function_rees_matrix(rm.a_size, rm.group, rm.b_size, rm.sandwich),
+                       constructions.k_p(p))
+
+
+def test_rees_matrix_refuses_like_the_from_function_version():
+    z2 = core.cyclic_group(2)
+    cases = [
+        (0, z2, 1, []),
+        (1, z2, 0, []),
+        (-1, z2, 10**9, []),
+        (1, core.u1(), 1, [[0]]),
+        (2, z2, 2, [[0, 0]]),
+        (2, z2, 2, [[0, 0], [0]]),
+        (2, z2, 1, [[0, 2]]),
+        (1, S3_IN_T3, 2, [[0], [-1]]),
+    ]
+    for a, G, b, P in cases:
+        old = outcome(lambda: from_function_rees_matrix(a, G, b, P))
+        assert isinstance(old, tuple) and old[0] in (ShapeMismatchError, NotAGroupError)
+        assert outcome(lambda: constructions.rees_matrix(a, G, b, P)) == old
+
+
+def test_rees_rows_match_from_function_over_any_semigroup_table():
+    # synthesis calls the builder over T^1, which need not be a group, and shifted by |S|
+    rng = random.Random(47)
+    for G in list(LIBRARY.values()) + RANDOM[:12] + ONE_ELEMENT:
+        a, b, offset = rng.randint(1, 3), rng.randint(1, 3), rng.randrange(5)
+        P = [[rng.randrange(len(G)) for _ in range(a)] for _ in range(b)]
+        mul = G.table
+        triples = [(x, g, y) for x in range(a) for g in range(len(G)) for y in range(b)]
+        oracle = from_function(
+            triples, lambda p, q: (p[0], mul[mul[p[1]][P[p[2]][q[0]]]][q[1]], q[2]))
+        assert constructions._rees_rows(offset, a, G.table, b, P) == [
+            tuple(offset + v for v in row) for row in oracle.table]
+
+
+def test_synthesis_matches_the_block_version():
+    rng = random.Random(53)
+    extra = [(S, T) for S in ONE_ELEMENT + [S3_IN_T3] for T in ONE_ELEMENT + [S3_IN_T3, T3]]
+    cases = SYNTHESIS_CASES + [
+        (S, T, [rng.randrange(len(adjoin_identity(T))) for _ in range(len(adjoin_identity(S)))])
+        for S, T in extra
+    ]
+    for S, T, f in cases:
+        same_synthesis(block_synthesis(S, T, f), constructions.synthesis(S, T, f))
+    for S, T, f in cases[::10]:  # f as a mapping and as a callable
+        same_synthesis(block_synthesis(S, T, dict(enumerate(f))),
+                       constructions.synthesis(S, T, dict(enumerate(f))))
+        same_synthesis(block_synthesis(S, T, f.__getitem__),
+                       constructions.synthesis(S, T, f.__getitem__))
