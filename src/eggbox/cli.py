@@ -361,77 +361,76 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def _leaves(sub, command: str, summary: str, func, allow_abbrev=True, **leaves: str) -> dict:
-    """Add `command` with one subparser per leaf, taking the positionals named in leaves[leaf]
-    (p and n read as integers); return the leaf parsers by name."""
-    p = sub.add_parser(command, help=summary)
-    p.set_defaults(func=func)
-    what = p.add_subparsers(dest="what", required=True)
-    parsers = {}
-    for leaf, names in leaves.items():
-        parsers[leaf] = what.add_parser(leaf, allow_abbrev=allow_abbrev)
-        for name in names.split():
-            parsers[leaf].add_argument(name, type=int if name in ("p", "n") else None)
-    return parsers
+# Each command: (summary, handler, arguments). Its arguments are (positionals, options), or
+# {leaf: (positionals, options)} for a command followed by a leaf. Positionals are names, p
+# and n read as integers; options map each flag to its add_argument keywords.
+_COMMANDS = {
+    "analyze": ("full structural report of a semigroup JSON", cmd_analyze,
+                ("path", {"--pv": dict(help="comma-separated registry names, or 'all'")})),
+    "construct": ("emit semigroup JSON for a construction", cmd_construct, {
+        "kp": ("p", {}),
+        "rees": ("", {"--a": dict(type=int, default=2), "--b": dict(type=int, default=2),
+                      "--group": dict(default="trivial", help="trivial | z:<n> | path"),
+                      "--sandwich": dict(help="JSON matrix of group element indices")}),
+        "synthesis": ("s t f", {}), "semidirect": ("s t action", {}), "product": ("s t", {}),
+        "adjoin": ("s", {"--fresh": dict(action="store_true", help="always add a new identity")}),
+    }),
+    "check": ("identity / inequality / membership / word problems", cmd_check, {
+        "id": ("s lhs rhs", {}), "ineq": ("s lhs rhs", {}), "pv": ("s name", {}),
+        "crh": ("u v", {"--h": dict(default="trivial", help="trivial | ab:<n> | groups")}),
+        "vdn": ("u v", {"--n": dict(type=int, default=1, help="the D_n depth"),
+                        "--in": dict(dest="in_path", required=True, help="semigroup JSON to instantiate V")}),
+    }),
+    "words": ("word combinatorics", cmd_words, {
+        **dict.fromkeys(("content", "lbf", "rbf", "zero", "one", "chi"), ("w", {})),
+        "debruijn": ("n w", {}), "stretch": ("x s", {"--avoid": dict(help="comma-separated words to avoid")}),
+        "connect": ("w a b", {}), "subword": ("u w", {}),
+    }),
+    "hull": ("translational hull summary", cmd_hull,
+             ("path", {"--bound": dict(type=int, default=8),
+                       "--rees": dict(action="store_true", help="input is Rees JSON; use the parametrized path")})),
+    "classify": ("LM/RM/GGM/WGGM and torsion flags", cmd_classify, ("path", {})),
+    "syntactic": ("syntactic ordered semigroup of a DFA JSON", cmd_syntactic,
+                  ("path", {"--concat-letter": dict(dest="concat_letter")})),
+    "orderable": ("decide orderability", cmd_orderable, ("path", {})),
+    "orders": ("enumerate stable partial orders", cmd_orders, ("path", {"--limit": dict(type=int)})),
+}
+
+
+class _Deferred:
+    """The parser_class of every subparsers action here: it keeps a command's or leaf's
+    arguments and handler, and builds its parser only when argparse dispatches to it."""
+
+    def __init__(self, arguments, func, abbreviate_leaves=True, **kwargs):
+        self.spec = arguments, func, abbreviate_leaves, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        arguments, func, abbreviate_leaves, kwargs = self.spec
+        parser = _Parser(**kwargs)
+        parser.set_defaults(func=func)
+        if isinstance(arguments, dict):
+            what = parser.add_subparsers(dest="what", required=True, parser_class=_Deferred)
+            for leaf, leaf_arguments in arguments.items():
+                what.add_parser(leaf, arguments=leaf_arguments, func=func, allow_abbrev=abbreviate_leaves)
+        else:
+            positionals, options = arguments
+            for name in positionals.split():
+                parser.add_argument(name, type=int if name in ("p", "n") else None)
+            for flag, keywords in options.items():
+                parser.add_argument(flag, **keywords)
+        return parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="eggbox", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="full structural report of a semigroup JSON")
-    p.add_argument("path")
-    p.add_argument("--pv", help="comma-separated registry names, or 'all'")
-    p.set_defaults(func=cmd_analyze)
-
-    construct = _leaves(sub, "construct", "emit semigroup JSON for a construction", cmd_construct,
-                        kp="p", rees="", synthesis="s t f", semidirect="s t action", product="s t", adjoin="s")
-    p = construct["rees"]
-    p.add_argument("--a", type=int, default=2)
-    p.add_argument("--b", type=int, default=2)
-    p.add_argument("--group", default="trivial", help="trivial | z:<n> | path")
-    p.add_argument("--sandwich", help="JSON matrix of group element indices")
-    construct["adjoin"].add_argument("--fresh", action="store_true", help="always add a new identity")
-
-    # No abbreviations here: crh's --h is a prefix of --help, and on another check leaf it
-    # must be an unrecognized argument, not a request for help.
-    check = _leaves(sub, "check", "identity / inequality / membership / word problems", cmd_check,
-                    allow_abbrev=False, id="s lhs rhs", ineq="s lhs rhs", pv="s name", crh="u v", vdn="u v")
-    check["crh"].add_argument("--h", default="trivial", help="trivial | ab:<n> | groups")
-    check["vdn"].add_argument("--n", type=int, default=1, help="the D_n depth")
-    check["vdn"].add_argument("--in", dest="in_path", required=True, help="semigroup JSON to instantiate V")
-
-    p = _leaves(sub, "words", "word combinatorics", cmd_words,
-                content="w", lbf="w", rbf="w", zero="w", one="w", chi="w",
-                debruijn="n w", stretch="x s", connect="w a b", subword="u w")["stretch"]
-    p.add_argument("--avoid", help="comma-separated words to avoid")
-
-    p = sub.add_parser("hull", help="translational hull summary")
-    p.add_argument("path")
-    p.add_argument("--bound", type=int, default=8)
-    p.add_argument("--rees", action="store_true", help="input is Rees JSON; use the parametrized path")
-    p.set_defaults(func=cmd_hull)
-
-    p = sub.add_parser("classify", help="LM/RM/GGM/WGGM and torsion flags")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("syntactic", help="syntactic ordered semigroup of a DFA JSON")
-    p.add_argument("path")
-    p.add_argument("--concat-letter", dest="concat_letter")
-    p.set_defaults(func=cmd_syntactic)
-
-    p = sub.add_parser("orderable", help="decide orderability")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_orderable)
-
-    p = sub.add_parser("orders", help="enumerate stable partial orders")
-    p.add_argument("path")
-    p.add_argument("--limit", type=int)
-    p.set_defaults(func=cmd_orders)
-
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Deferred)
+    for command, (summary, func, arguments) in _COMMANDS.items():
+        # No abbreviations on the leaves of check: crh's --h is a prefix of --help, and on
+        # another check leaf it must be an unrecognized argument, not a request for help.
+        sub.add_parser(command, help=summary, arguments=arguments, func=func,
+                       abbreviate_leaves=command != "check")
     return top
 
 

@@ -426,32 +426,35 @@ def test_syntactic_of_a_state_named_like_the_sink(tmp_path, capsys, extra):
     assert len(json.loads(outs[0])["elements"]) == 2
 
 
+USAGE_ERRORS = [
+    (["words", "connect", "ab", "c"], "eggbox words connect: the following arguments are required: b"),
+    (["words", "content"], "eggbox words content: the following arguments are required: w"),
+    (["words", "subword", "a", "b", "c"], "eggbox words subword: unrecognized arguments: c"),
+    (["construct", "kp"], "eggbox construct kp: the following arguments are required: p"),
+    (["check", "id", "x.json"], "eggbox check id: the following arguments are required: lhs, rhs"),
+    (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
+    (["construct", "rees", "--b", "0"], "index sets must be nonempty"),
+    (["construct", "rees", "--a", "0", "--b", "1000000000"], "index sets must be nonempty, got a=0, b=1000000000"),
+    (["construct", "rees", "--a", "-1", "--b", "1000000000"], "index sets must be nonempty, got a=-1, b=1000000000"),
+    (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, 1], [0.7, 1]]"], "sandwich[1][0] must be an integer"),
+    (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, true], [0, 1]]"], "sandwich[0][1] must be an integer"),
+    (["construct", "rees", "--sandwich", "5"], "sandwich must be a list"),
+    (["construct", "rees", "--group", "z:0"], "cyclic group order must be >= 1"),
+    (["construct", "kp", "1"], "1 is not prime"),
+    (["words", "debruijn", "-1", "ab"], "n must be >= 0"),
+    (["words", "rbf", ""], "right basic factorization needs a nonempty word"),
+    (["words", "stretch", "", "aa"], "need a letter different from the tail of s"),
+    (["analyze"], "eggbox analyze: the following arguments are required: path"),
+    (["hull", "x.json", "--bound", "abc"], "eggbox hull: argument --bound: invalid int value: 'abc'"),
+    (["check", "id", "x.json", "-x", "x"], "eggbox check id: the following arguments are required: rhs"),
+    (["construct", "kp", "x"], "eggbox construct kp: argument p: invalid int value: 'x'"),
+    (["words", "debruijn", "x", "ab"], "eggbox words debruijn: argument n: invalid int value: 'x'"),
+]
+
+
 @pytest.mark.parametrize(
     "argv, message",
-    [
-        (["words", "connect", "ab", "c"], "eggbox words connect: the following arguments are required: b"),
-        (["words", "content"], "eggbox words content: the following arguments are required: w"),
-        (["words", "subword", "a", "b", "c"], "eggbox words subword: unrecognized arguments: c"),
-        (["construct", "kp"], "eggbox construct kp: the following arguments are required: p"),
-        (["check", "id", "x.json"], "eggbox check id: the following arguments are required: lhs, rhs"),
-        (["construct", "rees", "--a", "0"], "index sets must be nonempty"),
-        (["construct", "rees", "--b", "0"], "index sets must be nonempty"),
-        (["construct", "rees", "--a", "0", "--b", "1000000000"], "index sets must be nonempty, got a=0, b=1000000000"),
-        (["construct", "rees", "--a", "-1", "--b", "1000000000"], "index sets must be nonempty, got a=-1, b=1000000000"),
-        (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, 1], [0.7, 1]]"], "sandwich[1][0] must be an integer"),
-        (["construct", "rees", "--group", "z:2", "--sandwich", "[[0, true], [0, 1]]"], "sandwich[0][1] must be an integer"),
-        (["construct", "rees", "--sandwich", "5"], "sandwich must be a list"),
-        (["construct", "rees", "--group", "z:0"], "cyclic group order must be >= 1"),
-        (["construct", "kp", "1"], "1 is not prime"),
-        (["words", "debruijn", "-1", "ab"], "n must be >= 0"),
-        (["words", "rbf", ""], "right basic factorization needs a nonempty word"),
-        (["words", "stretch", "", "aa"], "need a letter different from the tail of s"),
-        (["analyze"], "eggbox analyze: the following arguments are required: path"),
-        (["hull", "x.json", "--bound", "abc"], "eggbox hull: argument --bound: invalid int value: 'abc'"),
-        (["check", "id", "x.json", "-x", "x"], "eggbox check id: the following arguments are required: rhs"),
-        (["construct", "kp", "x"], "eggbox construct kp: argument p: invalid int value: 'x'"),
-        (["words", "debruijn", "x", "ab"], "eggbox words debruijn: argument n: invalid int value: 'x'"),
-    ],
+    USAGE_ERRORS,
     ids=[
         "connect", "content", "subword", "kp", "check-id", "rees-a0", "rees-b0", "rees-a0-huge-b",
         "rees-negative-a-huge-b",
@@ -476,18 +479,17 @@ def interleavings(positionals, options):
             yield [arg for i in range(n) for arg in (next(opts) if i in slots else [next(pos)])]
 
 
-@pytest.mark.parametrize(
-    "leaf, positionals, options",
-    [
-        (["construct", "rees"], [], [["--a", "2"], ["--b", "3"], ["--group", "z:2"],
-                                     ["--sandwich", "[[0, 0], [0, 1], [0, 1]]"]]),
-        (["construct", "adjoin"], ["{z2}"], [["--fresh"]]),
-        (["check", "crh"], ["aab", "ab"], [["--h", "groups"]]),
-        (["check", "vdn"], ["(ab)^w", "(ab)^w ab"], [["--n", "1"], ["--in", "{z2}"]]),
-        (["words", "stretch"], ["b", "baa"], [["--avoid", "ab"]]),
-    ],
-    ids=["rees", "adjoin", "crh", "vdn", "stretch"],
-)
+PLACEMENTS = [
+    (["construct", "rees"], [], [["--a", "2"], ["--b", "3"], ["--group", "z:2"],
+                                 ["--sandwich", "[[0, 0], [0, 1], [0, 1]]"]]),
+    (["construct", "adjoin"], ["{z2}"], [["--fresh"]]),
+    (["check", "crh"], ["aab", "ab"], [["--h", "groups"]]),
+    (["check", "vdn"], ["(ab)^w", "(ab)^w ab"], [["--n", "1"], ["--in", "{z2}"]]),
+    (["words", "stretch"], ["b", "baa"], [["--avoid", "ab"]]),
+]
+
+
+@pytest.mark.parametrize("leaf, positionals, options", PLACEMENTS, ids=["rees", "adjoin", "crh", "vdn", "stretch"])
 def test_options_go_anywhere_after_their_leaf(tmp_path, capsys, z2, leaf, positionals, options):
     z2_path = write_semigroup(tmp_path, "z2.json", z2)
     positionals = [arg.format(z2=z2_path) for arg in positionals]
@@ -498,18 +500,17 @@ def test_options_go_anywhere_after_their_leaf(tmp_path, capsys, z2, leaf, positi
         assert run(capsys, leaf + tail)[:2] == (code, out), tail
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "kp", "3", "--fresh"],
-        ["check", "id", "{z2}", "x", "x", "--h", "groups"],
-        ["check", "vdn", "ab", "ab", "--in", "{z2}", "--h", "groups"],
-        ["check", "crh", "ab", "ab", "--n", "1"],
-        ["construct", "adjoin", "{z2}", "--a", "2"],
-        ["words", "content", "ab", "--avoid", "a"],
-    ],
-    ids=["kp-fresh", "id-h", "vdn-h", "crh-n", "adjoin-a", "content-avoid"],
-)
+OTHER_LEAF_OPTIONS = [
+    ["construct", "kp", "3", "--fresh"],
+    ["check", "id", "{z2}", "x", "x", "--h", "groups"],
+    ["check", "vdn", "ab", "ab", "--in", "{z2}", "--h", "groups"],
+    ["check", "crh", "ab", "ab", "--n", "1"],
+    ["construct", "adjoin", "{z2}", "--a", "2"],
+    ["words", "content", "ab", "--avoid", "a"],
+]
+
+
+@pytest.mark.parametrize("argv", OTHER_LEAF_OPTIONS, ids=["kp-fresh", "id-h", "vdn-h", "crh-n", "adjoin-a", "content-avoid"])
 def test_an_option_of_another_leaf_exits_2(tmp_path, capsys, z2, argv):
     z2_path = write_semigroup(tmp_path, "z2.json", z2)
     code, out, err = run(capsys, [arg.format(z2=z2_path) for arg in argv])
